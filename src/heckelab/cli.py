@@ -582,30 +582,6 @@ def run(cfg):
     return Report(cfg.command, config_echo, field_echo, checks, data)
 
 
-def cmd_validate(cfg):
-    return run(cfg)
-
-
-def cmd_rank(cfg):
-    return run(cfg)
-
-
-def cmd_structure(cfg):
-    return run(cfg)
-
-
-def cmd_newton(cfg):
-    return run(cfg)
-
-
-def cmd_cayley_hamilton(cfg):
-    return run(cfg)
-
-
-def cmd_charpoly(cfg):
-    return run(cfg)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------

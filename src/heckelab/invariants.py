@@ -105,15 +105,16 @@ def _staircase(h, i, total):
 
 def sigma(h, u, v, i):
     """sigma(i) = alpha_i * v (L_1 R_1 ... R_{i-1})^i u on the rank-p
-    tensor space, homogeneous of degree i."""
+    tensor space, homogeneous of degree i.  The staircase is applied to
+    u i times and paired with v last, so no power of it is formed."""
     p = h.detect_rank()
     if not 1 <= i <= p:
         raise ValueError("sigma index out of range")
     step = _staircase(h, i, p)
-    op = step
-    for _ in range(i - 1):
-        op = op @ step
-    val = (v @ op) @ u
+    col = u
+    for _ in range(i):
+        col = step @ col
+    val = v @ col
     if not isinstance(val, NCPoly):
         val = NCPoly.const(val)
     out = h.field.from_qscalar(alpha(i, p)) * val
@@ -153,27 +154,25 @@ def w_column(h, u, l=None):
     """x-graded coefficients of w(x): a list of columns over V^tensor-p,
     index k holding the x^k coefficient (entries homogeneous, degree p-k).
 
-    Passing a replacement generator matrix l supports deliberate
-    falsification runs.
+    The factors (L_1 - q^{2i} x) R_1 ... R_{p-1} are folded onto u from
+    the right, i = p-1 first, one column per power of x.  Passing a
+    replacement generator matrix l supports deliberate falsification
+    runs.
     """
     p = h.detect_rank()
-    f = h.field
-    rchain = TensorOperator.identity(h.dim, p, f.one)
-    for j in range(1, p):
-        rchain = rchain @ h.r_slot(j, p)
-    g = (generator_matrix(h.dim) if l is None else l).embed(1, p) @ rchain
-    acc = [TensorOperator.identity(h.dim, p, f.one)]
-    for i in range(p):
+    l1 = (generator_matrix(h.dim) if l is None else l).embed(1, p)
+    cols = [u]
+    for i in reversed(range(p)):
         ci = h.q ** (2 * i)
-        nxt = []
-        for k in range(len(acc) + 1):
-            term = acc[k] @ g if k < len(acc) else None
-            if k:
-                xpart = (acc[k - 1] @ rchain).scaled(-ci)
-                term = xpart if term is None else term + xpart
-            nxt.append(term)
-        acc = nxt
-    return [op @ u for op in acc]
+        moved = []
+        for col in cols:
+            for j in reversed(range(1, p)):
+                col = h.r_slot(j, p) @ col
+            moved.append(col)
+        cols = [l1 @ col for col in moved] + [moved[-1].scaled(-ci)]
+        for k in range(1, len(moved)):
+            cols[k] = cols[k] + moved[k - 1].scaled(-ci)
+    return cols
 
 
 def char_poly(h, u, v):
@@ -222,10 +221,14 @@ def centrality_defects(h, sets, i):
 
 
 def ideal_components(h, max_degree, column_cap=DEFAULT_COLUMN_CAP):
-    """Graded ideal slices 2..max_degree for the symmetry's relations."""
+    """Graded ideal slices 2..max_degree for the symmetry's relations.
+
+    The top slice is built first: it is the largest, so a column-cap
+    refusal comes before any slice has been built."""
     rels = re_relations(h)
-    return {d: ideal_component(rels, d, column_cap)
-            for d in range(2, max_degree + 1)}
+    degrees = range(2, max_degree + 1)
+    comps = {d: ideal_component(rels, d, column_cap) for d in reversed(degrees)}
+    return {d: comps[d] for d in degrees}
 
 
 def member_at_degree(f, components):

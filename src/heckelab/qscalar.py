@@ -169,9 +169,6 @@ class LaurentQ:
     def min_exp(self):
         return min(self.coeffs) if self.coeffs else None
 
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else None
-
     def constant_value(self):
         """The value as a Fraction if this is a constant, else None."""
         if not self.coeffs:
@@ -281,9 +278,6 @@ class QScalar:
     @classmethod
     def q_power(cls, e):
         return cls(LaurentQ.term(1, e), _L_ONE)
-
-    def is_polynomial(self):
-        return self.den == _L_ONE
 
     def constant_value(self):
         if self.den == _L_ONE:
@@ -573,30 +567,11 @@ class _Parser:
         return v
 
     def parse(self):
-        num = self.parse_part()
-        k, _, p = self.peek()
-        if k == "/":
-            self.take()
-            den = self.parse_part()
-            if not den:
-                raise ScalarParseError("division by the zero polynomial", p)
-            result = num / den
-        else:
-            result = num
+        result = self.parse_sum()
         k, _, p = self.peek()
         if k is not None:
             raise ScalarParseError("trailing input", p)
         return result
-
-    def parse_part(self):
-        # '(' sum ')' or a bare sum
-        k, _, _ = self.peek()
-        if k == "(":
-            self.take()
-            x = self.parse_sum()
-            self.expect(")")
-            return x
-        return self.parse_sum()
 
     def parse_sum(self):
         k, _, _ = self.peek()
@@ -604,43 +579,53 @@ class _Parser:
         if k in ("+", "-"):  # tolerated leading sign
             self.take()
             sign = -1 if k == "-" else 1
-        acc = self.parse_term() * sign
+        acc = self.parse_product() * sign
         while True:
             k, _, _ = self.peek()
             if k == "+":
                 self.take()
-                acc = acc + self.parse_term()
+                acc = acc + self.parse_product()
             elif k == "-":
                 self.take()
-                acc = acc - self.parse_term()
+                acc = acc - self.parse_product()
             else:
                 return acc
 
-    def parse_term(self):
+    def parse_product(self):
+        """Factors joined by '*' and '/', left to right, binding tighter
+        than '+' and '-'; a number written straight before q multiplies
+        it, so ``2q^2`` is 2*q^2 and ``1/2q`` is 1/2*q."""
+        start = self.i
+        acc = self.parse_factor()
+        while True:
+            k, _, p = self.peek()
+            if k in ("*", "/"):
+                self.take()
+            elif not (k == "q" and self.i == start + 1
+                      and self.toks[start][0] == "int"):
+                return acc
+            start = self.i
+            x = self.parse_factor()
+            if k != "/":
+                acc = acc * x
+            elif not x:
+                raise ScalarParseError("division by zero", p)
+            else:
+                acc = acc / x
+
+    def parse_factor(self):
         k, v, p = self.peek()
+        if k == "(":
+            self.take()
+            x = self.parse_sum()
+            self.expect(")")
+            return x
         if k == "q":
             return self.parse_qpow()
         if k != "int":
             raise ScalarParseError("expected a term", p)
         self.take()
-        coeff = Fraction(v)
-        k, _, _ = self.peek()
-        if k == "/":
-            # rational coefficient: int '/' posint -- only when digits follow
-            nk, nv, np_ = self.toks[self.i + 1] if self.i + 1 < len(self.toks) else (None, None, None)
-            if nk == "int":
-                self.take()  # the '/'
-                self.take()  # the denominator digits
-                if nv == 0:
-                    raise ScalarParseError("zero denominator in coefficient", np_)
-                coeff = coeff / nv
-        k, _, _ = self.peek()
-        if k == "*":
-            self.take()
-            return self.parse_qpow() * coeff
-        if k == "q":
-            return self.parse_qpow() * coeff
-        return QScalar.from_rat(coeff)
+        return QScalar.from_rat(v)
 
     def parse_qpow(self):
         self.expect("q")
@@ -663,8 +648,10 @@ class _Parser:
 def parse_scalar(text):
     """Parse the textual scalar grammar into a canonical QScalar.
 
-    Accepted forms: sums of terms like ``3*q^2``, ``q^-1``, ``1/2*q``, ``7``,
-    and quotients ``(sum)/(sum)``.  Whitespace is insignificant.
+    Accepted forms: sums of products like ``3*q^2``, ``q^-1``, ``1/2*q``,
+    ``7``, ``1/q^2`` and ``(sum)/(sum)``.  ``*`` and ``/`` bind tighter
+    than ``+`` and ``-``, so ``q + 1/q`` is q + q^-1.  Whitespace is
+    insignificant.
     """
     if not isinstance(text, str):
         raise ScalarParseError("expected a string", 0)

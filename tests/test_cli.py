@@ -295,6 +295,16 @@ def test_console_entry_point_runs():
     assert doc["status"] == "pass"
 
 
+def test_package_main_runs_without_warning():
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "heckelab", "validate",
+         "--builtin", "std:2", "--json"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["status"] == "pass"
+
+
 # -- plumbing units ----------------------------------------------------------
 
 def test_resolve_field_defaults():

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckelab.cli import RunConfig, run
 from heckelab.hecke import builtin_permutation, builtin_standard
 from heckelab.invariants import (
     LPowers,
@@ -39,7 +40,8 @@ from heckelab.ncalgebra import (
     ideal_component,
     re_relations,
 )
-from heckelab.qscalar import FieldSpec, QScalar, make_field, q_number
+from heckelab.qscalar import DEFAULT_PRIME, FieldSpec, QScalar, make_field, q_number
+from heckelab.tensor import TensorOperator
 
 SYM = make_field(FieldSpec.symbolic())
 
@@ -289,3 +291,111 @@ def test_deleted_relation_breaks_memberships(std2, sets2):
 def test_resource_cap_surfaces(std2):
     with pytest.raises(ResourceError):
         ideal_components(std2, 4, column_cap=100)
+
+
+# -- contraction against u: oracle and N = 4 -----------------------------------------
+
+
+def _operator_power_sigma(h, u, v, i):
+    """sigma(i) as v (staircase)^i u with the power formed as an operator
+    first: the direct reading of the definition, kept as an oracle."""
+    p = h.detect_rank()
+    step = generator_matrix(h.dim).embed(1, p)
+    for j in range(1, i):
+        step = step @ h.r_slot(j, p)
+    op = step
+    for _ in range(i - 1):
+        op = op @ step
+    val = (v @ op) @ u
+    if not isinstance(val, NCPoly):
+        val = NCPoly.const(val)
+    return h.field.from_qscalar(alpha(i, p)) * val
+
+
+def _operator_product_w(h, u):
+    """w(x) with prod_i (L_1 - q^{2i} x) R_1 ... R_{p-1} multiplied out as
+    operators, one per power of x, and applied to u at the end."""
+    p = h.detect_rank()
+    ident = TensorOperator.identity(h.dim, p, h.field.one)
+    rchain = ident
+    for j in range(1, p):
+        rchain = rchain @ h.r_slot(j, p)
+    g = generator_matrix(h.dim).embed(1, p) @ rchain
+    acc = [ident]
+    for i in range(p):
+        ci = h.q ** (2 * i)
+        nxt = [acc[0] @ g]
+        for k in range(1, len(acc)):
+            nxt.append(acc[k] @ g + (acc[k - 1] @ rchain).scaled(-ci))
+        nxt.append((acc[-1] @ rchain).scaled(-ci))
+        acc = nxt
+    return [op @ u for op in acc]
+
+
+@pytest.mark.parametrize("kind,n,spec", [
+    ("std", 2, FieldSpec.symbolic()),
+    ("std", 3, FieldSpec.evaluated(Fraction(3, 2))),
+    ("std", 3, FieldSpec.modular(DEFAULT_PRIME, 123456789)),
+    ("perm", 3, FieldSpec.evaluated(1)),
+])
+def test_contracted_sigma_and_w_match_operator_powers(kind, n, spec):
+    build = builtin_standard if kind == "std" else builtin_permutation
+    h = build(n, make_field(spec))
+    p = h.detect_rank()
+    u, v = h.levi_civita()
+    for i in range(1, p + 1):
+        assert sigma(h, u, v, i) == _operator_power_sigma(h, u, v, i)
+    assert w_column(h, u) == _operator_product_w(h, u)
+
+
+def _elementary(xs, i):
+    e = [Fraction(1)] + [Fraction(0)] * len(xs)
+    for x in xs:
+        for k in range(len(xs), 0, -1):
+            e[k] += e[k - 1] * x
+    return e[i]
+
+
+def test_std4_sigma_and_delta_at_scalar_matrix():
+    # at L = c * 1 the RE relations hold, sigma(i) is c^i times the
+    # elementary symmetric function of 1, q^-2, ..., q^(2-2p), and
+    # Delta(x) is (-1/q)^(p(p-1)) prod_{i<p} (c - q^(2i) x)
+    q, c = Fraction(3, 2), Fraction(5, 7)
+    h = builtin_standard(4, make_field(FieldSpec.evaluated(q)))
+    u, v = h.levi_civita()
+    p = h.detect_rank()
+    assert p == 4
+    assign = {(a, b): (c if a == b else Fraction(0))
+              for a in range(1, 5) for b in range(1, 5)}
+    roots = [q ** (-2 * k) for k in range(p)]
+    for i in range(1, p + 1):
+        assert sigma(h, u, v, i).evaluate(assign) == c ** i * _elementary(roots, i)
+    want = [Fraction(1)]
+    for i in range(p):
+        nxt = [Fraction(0)] * (len(want) + 1)
+        for k, co in enumerate(want):
+            nxt[k] += co * c
+            nxt[k + 1] -= co * q ** (2 * i)
+        want = nxt
+    scale = (-1 / q) ** (p * (p - 1))
+    got = [co.evaluate(assign) for co in char_poly(h, u, v).coeffs]
+    assert got == [scale * co for co in want]
+
+
+def test_std4_membership_refuses_before_any_slice(monkeypatch):
+    # the degree-4 slice is over the column cap; no row of a lower slice
+    # may be built before that refusal
+    inserts = []
+    original = EchelonBasis.insert
+
+    def spy(self, f):
+        inserts.append(f)
+        return original(self, f)
+
+    monkeypatch.setattr(EchelonBasis, "insert", spy)
+    report = run(RunConfig("newton", builtin="std:4"))
+    assert [c.status for c in report.checks] == ["skipped"] * 4
+    assert inserts == []
+    with pytest.raises(ResourceError):
+        ideal_components(builtin_standard(4, SYM), 4)
+    assert inserts == []

@@ -265,6 +265,52 @@ def test_parse_examples():
     assert parse_scalar(" q +  1 ") == Q_VAR + 1
 
 
+def test_parse_division_binds_tighter_than_sums():
+    assert parse_scalar("q + 1/q") == Q_VAR + Q_VAR ** -1
+    assert parse_scalar("2 - 1/q^2") == 2 - Q_VAR ** -2
+    assert parse_scalar("-q^2 - 2 - 1/q^2") == -Q_VAR ** 2 - 2 - Q_VAR ** -2
+    assert parse_scalar("(q^2 + 1)/(q)") == Q_VAR + Q_VAR ** -1
+    assert parse_scalar("1/2q") == Q_VAR / 2
+    # the form perfbench's gauge file writes
+    assert parse_scalar("3/2*q^2 - q + 1/2*q^-1") == (
+        Fraction(3, 2) * Q_VAR ** 2 - Q_VAR + Q_VAR ** -1 / 2)
+
+
+def _signed_terms(terms):
+    """Join (coefficient, exponent) pairs as a sum, negative exponents
+    written as a division by a power of q: 3/4/q^2, 1/q."""
+    text, want = "", Q_ZERO
+    for c, e in terms:
+        mag = abs(c)
+        body = str(mag.numerator)
+        if mag.denominator != 1:
+            body += "/%d" % mag.denominator
+        if e > 0:
+            body += "*q^%d" % e
+        elif e < 0:
+            body += "/q" if e == -1 else "/q^%d" % -e
+        if not text:
+            text = "-" + body if c < 0 else body
+        else:
+            text += (" - " if c < 0 else " + ") + body
+        want = want + c * Q_VAR ** e
+    return text, want
+
+
+nonzero_fractions = st.fractions(min_value=-9, max_value=9,
+                                 max_denominator=9).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(nonzero_fractions, st.integers(-4, 4)),
+                min_size=1, max_size=6))
+def test_parse_sums_with_reciprocal_powers(terms):
+    text, want = _signed_terms(terms)
+    got = parse_scalar(text)
+    assert got == want, text
+    assert parse_scalar(format_scalar(got)) == got
+
+
 def test_parse_division_by_zero_polynomial():
     with pytest.raises(ScalarParseError):
         parse_scalar("(q)/(0)")
