@@ -4,9 +4,11 @@ Commands: validate | rank | structure | newton | cayley-hamilton |
 charpoly.  The source is a builtin symmetry (std:N or perm:N) or a JSON
 R-matrix file; the field strategy defaults by size (N=2 symbolic, N=3
 sampled at 5 rational points, N=4 and up modular) and can be forced
-with --field.  Reports are deterministic for a fixed seed: checks are
-sorted by name and multi-point runs merge in sampling order, so two
-runs differ only in their timing fields.
+with --field.  Field points run one after another in sampling order,
+each building its own symmetry; a single-point run reads its report
+data from the symmetry its checks built.  Reports are deterministic for
+a fixed seed: checks are sorted by name and multi-point runs merge in
+sampling order, so two runs differ only in their timing fields.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2
 configuration or input-file error.
@@ -19,7 +21,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +37,8 @@ from .hecke import (
     identity_suite,
     validate,
 )
-from .invariants import central_set, char_poly, ideal_components, verify_cayley_hamilton, verify_char_poly, verify_newton
+from .invariants import (central_set, char_poly, ideal_components, verify_cayley_hamilton,
+                         verify_char_poly, verify_newton, w_column)
 from .ncalgebra import ResourceError
 from .qscalar import (
     DEFAULT_PRIME,
@@ -231,7 +233,8 @@ def resolve_field(cfg, src):
 
 
 # ---------------------------------------------------------------------------
-# per-point pipelines; each returns [(name, True|False|SKIP, witness)]
+# per-point pipelines; each returns (symmetry or None,
+# [(name, True|False|SKIP, witness)])
 # ---------------------------------------------------------------------------
 
 def _from_checks(checks):
@@ -257,14 +260,14 @@ def _build(src, spec):
 def _run_validate(src, spec, cfg):
     h, recs = _build(src, spec)
     if h is None:
-        return recs
+        return h, recs
     recs = [("yang_baxter", True, None), ("hecke_quadratic", True, None)]
     try:
         h.check_closed()
         recs.append(("closedness", True, None))
     except NotClosedError as e:
         recs.append(("closedness", False, str(e)))
-    return recs
+    return h, recs
 
 
 def _rank_or_record(h, cfg):
@@ -277,10 +280,10 @@ def _rank_or_record(h, cfg):
 def _run_rank(src, spec, cfg):
     h, recs = _build(src, spec)
     if h is None:
-        return recs
+        return h, recs
     p, bad = _rank_or_record(h, cfg)
     if bad is not None:
-        return [bad]
+        return h, [bad]
     recs = [("rank_detected", True, "p = %d" % p)]
     top = h.antisymmetrizer(p)
     recs.append(("top_antisym_trace_one",
@@ -290,31 +293,31 @@ def _run_rank(src, spec, cfg):
     recs.append(("vanishing_beyond_rank",
                  h.antisymmetrizer(p + 1).is_zero(), None))
     recs.extend(_from_checks(antisym_checks(h, p)))
-    return recs
+    return h, recs
 
 
 def _run_structure(src, spec, cfg):
     h, recs = _build(src, spec)
     if h is None:
-        return recs
+        return h, recs
     try:
         h.check_closed()
     except NotClosedError as e:
-        return [("closedness", False, str(e))]
+        return h, [("closedness", False, str(e))]
     p, bad = _rank_or_record(h, cfg)
     if bad is not None:
-        return [bad]
-    return _from_checks(identity_suite(h, seed=cfg.seed))
+        return h, [bad]
+    return h, _from_checks(identity_suite(h))
 
 
 def _membership_pipeline(src, spec, cfg):
     """Shared front half of newton / cayley-hamilton / charpoly."""
     h, recs = _build(src, spec)
     if h is None:
-        return None, None, None, recs
+        return h, None, None, recs
     p, bad = _rank_or_record(h, cfg)
     if bad is not None:
-        return None, None, None, [bad]
+        return h, None, None, [bad]
     try:
         comps = ideal_components(h, p)
     except ResourceError as e:
@@ -330,10 +333,10 @@ def _run_newton(src, spec, cfg):
     h, p, comps, recs = _membership_pipeline(src, spec, cfg)
     if comps is None:
         if recs and recs[0][1] is SKIP:
-            return _skip_all(["newton_defect_%d" % i for i in range(1, p + 1)],
-                            recs[0][2])
-        return recs
-    return _from_checks(verify_newton(h, central_set(h), comps))
+            return h, _skip_all(["newton_defect_%d" % i for i in range(1, p + 1)],
+                                recs[0][2])
+        return h, recs
+    return h, _from_checks(verify_newton(h, central_set(h), comps))
 
 
 def _run_cayley_hamilton(src, spec, cfg):
@@ -342,9 +345,9 @@ def _run_cayley_hamilton(src, spec, cfg):
         if recs and recs[0][1] is SKIP:
             names = ["cayley_hamilton_entry_%d_%d" % (a, b)
                      for a in range(1, h.dim + 1) for b in range(1, h.dim + 1)]
-            return _skip_all(names, recs[0][2])
-        return recs
-    return _from_checks(verify_cayley_hamilton(h, central_set(h), comps))
+            return h, _skip_all(names, recs[0][2])
+        return h, recs
+    return h, _from_checks(verify_cayley_hamilton(h, central_set(h), comps))
 
 
 def _run_charpoly(src, spec, cfg):
@@ -353,9 +356,9 @@ def _run_charpoly(src, spec, cfg):
         if recs and recs[0][1] is SKIP:
             names = ["char_poly_coeff_%d" % i for i in range(p + 1)]
             names.append("char_column_eigen_relation")
-            return _skip_all(names, recs[0][2])
-        return recs
-    return _from_checks(verify_char_poly(h, comps))
+            return h, _skip_all(names, recs[0][2])
+        return h, recs
+    return h, _from_checks(verify_char_poly(h, comps))
 
 
 _RUNNERS = {
@@ -475,38 +478,33 @@ def _merge_points(plan, point_recs, timings):
     return merged
 
 
-def _max_workers(n_jobs):
+def _check_threads_env():
+    """HECKE_LAB_THREADS, when set, must be a positive integer.  Points
+    run one after another whatever its value, so it changes nothing."""
     raw = os.environ.get(THREADS_ENV)
     if not raw:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError("%s must be an integer, got %r" % (THREADS_ENV, raw))
-        if cap < 1:
-            raise ConfigError("%s must be a positive integer" % THREADS_ENV)
-    return max(1, min(cap, n_jobs))
+        return
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ConfigError("%s must be an integer, got %r" % (THREADS_ENV, raw))
+    if cap < 1:
+        raise ConfigError("%s must be a positive integer" % THREADS_ENV)
 
 
 def _run_points(plan, fn):
-    """fn(spec) for every field point, in order; concurrent when allowed."""
-    workers = _max_workers(len(plan.specs))
-    results = [None] * len(plan.specs)
-    timings = [0.0] * len(plan.specs)
-
-    def job(i):
+    """fn(spec) -> (symmetry, records) for every field point, one after
+    another in sampling order.  Returns the records, the times in ms and,
+    for a single-point plan, its symmetry; on a multi-point plan each
+    symmetry is dropped before the next point is built."""
+    point_recs, timings = [], []
+    for spec in plan.specs:
+        h = None
         t0 = time.perf_counter()
-        results[i] = fn(plan.specs[i])
-        timings[i] = (time.perf_counter() - t0) * 1000.0
-
-    if workers == 1 or len(plan.specs) == 1:
-        for i in range(len(plan.specs)):
-            job(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(job, range(len(plan.specs))))
-    return results, timings
+        h, recs = fn(spec)
+        timings.append((time.perf_counter() - t0) * 1000.0)
+        point_recs.append(recs)
+    return point_recs, timings, h if len(plan.specs) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +525,8 @@ def _format_op(t, fmt):
     return out
 
 
-def _structure_data(src, spec, cfg):
-    h = src.build(make_field(spec))
-    p = h.detect_rank(cfg.rank_bound)
+def _structure_data(h):
+    p = h.detect_rank()
     u, v = h.levi_civita()
     c = h.matrix_c()
     b = h.matrix_b()
@@ -545,11 +542,9 @@ def _structure_data(src, spec, cfg):
     }
 
 
-def _charpoly_data(src, spec, cfg):
-    h = src.build(make_field(spec))
-    h.detect_rank(cfg.rank_bound)
+def _charpoly_data(h):
     u, v = h.levi_civita()
-    cp = char_poly(h, u, v)
+    cp = char_poly(h, v, w_column(h, u))
     return {"delta": [str(co) for co in cp.coeffs]}
 
 
@@ -560,16 +555,16 @@ def _charpoly_data(src, spec, cfg):
 def run(cfg):
     src = load_source(cfg)
     plan = resolve_field(cfg, src)
+    _check_threads_env()
     runner = _RUNNERS[cfg.command]
-    point_recs, timings = _run_points(plan, lambda spec: runner(src, spec, cfg))
+    point_recs, timings, h = _run_points(plan, lambda spec: runner(src, spec, cfg))
     checks = _merge_points(plan, point_recs, timings)
     data = None
-    if len(plan.specs) == 1 and all(c.status != "failed" for c in checks):
-        spec = plan.specs[0]
+    if h is not None and all(c.status != "failed" for c in checks):
         if cfg.command == "structure":
-            data = _structure_data(src, spec, cfg)
+            data = _structure_data(h)
         elif cfg.command == "charpoly":
-            data = _charpoly_data(src, spec, cfg)
+            data = _charpoly_data(h)
     field_echo = {"strategy": plan.label, "points": plan.point_names()}
     if plan.prime is not None:
         field_echo["prime"] = plan.prime

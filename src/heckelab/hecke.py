@@ -25,7 +25,6 @@ Everything is exact; no check here ever tolerates a nonzero residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 
 from .qscalar import q_number
 from .tensor import (
@@ -94,8 +93,7 @@ class HeckeSymmetry:
     """A validated braid-form Hecke symmetry plus cached derived data.
 
     Construct through ``validate`` (or the builtins); the constructor does
-    not re-check the axioms.  Cached fields are computed at most once and
-    their computation is idempotent, so racing first accesses are safe.
+    not re-check the axioms.  Cached fields are computed at most once.
     """
 
     def __init__(self, R, field):
@@ -405,27 +403,20 @@ def _eq_check(name, lhs, rhs):
     return Check(name, False, wit)
 
 
-def random_slot_matrix(field, dim, rng):
-    """Random numeric matrix on one slot; entries are small multiples of
-    small powers of q so the q-structure is exercised."""
-    entries = {}
-    for r in range(dim):
-        for c in range(dim):
-            co = rng.randint(-3, 3)
-            if co:
-                entries[(r, c)] = field.of_int(co) * field.q ** rng.randint(-2, 2)
-    return TensorOperator(dim, 1, entries)
-
-
-def random_two_slot_matrix(field, dim, rng, nnz=12):
-    size = dim * dim
-    entries = {}
-    for _ in range(nnz):
-        r, c = rng.randrange(size), rng.randrange(size)
-        co = rng.randint(-3, 3)
-        if co:
-            entries[(r, c)] = field.of_int(co) * field.q ** rng.randint(-1, 1)
-    return TensorOperator(dim, 2, entries)
+def _first_failing_unit(h, arity, fails):
+    """Witness for an identity "for all X on V^arity" that is linear in X:
+    the first matrix unit X where fails(X) is truthy (followed by the
+    detail when that is a string), or None when the identity holds on
+    every unit and so for every X."""
+    size = h.dim ** arity
+    for r in range(size):
+        for c in range(size):
+            bad = fails(TensorOperator(h.dim, arity, {(r, c): h.field.one}))
+            if bad:
+                unit = "E_(%s),(%s)" % (",".join(map(str, decode(r, h.dim, arity))),
+                                        ",".join(map(str, decode(c, h.dim, arity))))
+                return unit if bad is True else "%s %s" % (unit, bad)
+    return None
 
 
 def antisym_checks(h, p):
@@ -468,7 +459,7 @@ def antisym_checks(h, p):
     return checks
 
 
-def identity_suite(h, seed=0, samples=10):
+def identity_suite(h):
     """Every displayed identity of the trace calculus, checked exactly.
 
     Returns a list of Check records (sorted by name) covering: the
@@ -477,8 +468,10 @@ def identity_suite(h, seed=0, samples=10):
     factorisation of the trace weights, the trace normalisations, the
     R-C-C commutation, conjugation-invariance of the quantum trace, and
     the symmetrized-insertion projection identities.
+
+    The identities "for all X" are linear in X, so checking them on every
+    matrix unit proves them; a failure names the first failing unit.
     """
-    rng = Random(seed)
     f = h.field
     checks = []
     p = h.detect_rank()
@@ -520,50 +513,41 @@ def identity_suite(h, seed=0, samples=10):
 
     # conjugation invariance, single slot
     rinv = h.r_inverse()
-    ok, wit = True, None
-    for t in range(samples):
-        x = random_slot_matrix(f, h.dim, rng)
-        tr = h.quantum_trace(x)
-        want = one1.scaled(tr)
-        got1 = h.quantum_trace_slots(h.R @ x.embed(1, 2) @ rinv, [2])
-        got2 = h.quantum_trace_slots(rinv @ x.embed(1, 2) @ h.R, [2])
-        if got1 != want or got2 != want:
-            ok, wit = False, "sample %d" % t
-            break
-    checks.append(Check("conjugation_scalar_one_slot", ok, wit))
+
+    def conj_one_slot_fails(x):
+        want = one1.scaled(h.quantum_trace(x))
+        x1 = x.embed(1, 2)
+        return (h.quantum_trace_slots(h.R @ x1 @ rinv, [2]) != want
+                or h.quantum_trace_slots(rinv @ x1 @ h.R, [2]) != want)
 
     # conjugation invariance, both slots
-    ok, wit = True, None
-    for t in range(samples):
-        x = random_two_slot_matrix(f, h.dim, rng)
+    def conj_two_slot_fails(x):
         lhs = h.quantum_trace_slots(h.R @ x @ rinv, [1, 2]).as_scalar()
-        rhs = h.quantum_trace_slots(x, [1, 2]).as_scalar()
-        if lhs != rhs:
-            ok, wit = False, "sample %d" % t
-            break
-    checks.append(Check("conjugation_scalar_two_slot", ok, wit))
+        return lhs != h.quantum_trace_slots(x, [1, 2]).as_scalar()
 
     # symmetrized insertion against the Levi-Civita pair
-    ok, wit = True, None
-    for t in range(samples):
-        x = random_slot_matrix(f, h.dim, rng)
+    def projects_fails(x):
         s = h.symmetrize(x, p)
         lam_tr = h.q * h.quantum_trace(x)
-        if (v @ s) != v.scaled(lam_tr) or (s @ u) != u.scaled(lam_tr):
-            ok, wit = False, "sample %d" % t
-            break
-    checks.append(Check("symmetrized_insertion_projects", ok, wit))
+        return (v @ s) != v.scaled(lam_tr) or (s @ u) != u.scaled(lam_tr)
 
     # the symmetrized map commutes with the braid generators below the top
-    ok, wit = True, None
-    x = random_slot_matrix(f, h.dim, rng)
-    for k in range(2, p + 2):
-        s = h.symmetrize(x, k)
-        for i in range(1, k):
-            ri = h.r_slot(i, k)
-            if s @ ri != ri @ s:
-                ok, wit = False, "k=%d i=%d" % (k, i)
-    checks.append(Check("symmetrized_insertion_commutes", ok, wit))
+    def commutes_fails(x):
+        for k in range(2, p + 2):
+            s = h.symmetrize(x, k)
+            for i in range(1, k):
+                ri = h.r_slot(i, k)
+                if s @ ri != ri @ s:
+                    return "k=%d i=%d" % (k, i)
+        return None
+
+    for name, arity, fails in (
+            ("conjugation_scalar_one_slot", 1, conj_one_slot_fails),
+            ("conjugation_scalar_two_slot", 2, conj_two_slot_fails),
+            ("symmetrized_insertion_projects", 1, projects_fails),
+            ("symmetrized_insertion_commutes", 1, commutes_fails)):
+        wit = _first_failing_unit(h, arity, fails)
+        checks.append(Check(name, wit is None, wit))
 
     checks.sort(key=lambda ch: ch.name)
     return checks

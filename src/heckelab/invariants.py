@@ -175,12 +175,13 @@ def w_column(h, u, l=None):
     return cols
 
 
-def char_poly(h, u, v):
-    """Delta(x) = v w(x) as x-graded coefficients; the top coefficient
-    collapses to the exact constant (-1)^p."""
+def char_poly(h, v, cols):
+    """Delta(x) = v w(x) as x-graded coefficients, from the columns that
+    w_column returns; the top coefficient collapses to the exact constant
+    (-1)^p."""
     p = h.detect_rank()
     coeffs = []
-    for k, col in enumerate(w_column(h, u)):
+    for k, col in enumerate(cols):
         val = v @ col
         if not isinstance(val, NCPoly):
             val = NCPoly.const(val)
@@ -240,14 +241,13 @@ def member_at_degree(f, components):
     return is_member(f, components[d])
 
 
-def eigen_relation_check(h, components, l=None):
+def eigen_relation_check(h, components, cols):
     """The braid generators act on the characteristic column by the
     factor -1/q modulo the ideal: (R_i + 1/q) w(x) reduces to zero for
-    every i < p and every x-power.  Returns (ok, first_failure) with
-    first_failure = (i, x_power) when some entry survives reduction."""
+    every i < p and every x-power, w(x) given by the columns that
+    w_column returns.  Returns (ok, first_failure) with first_failure =
+    (i, x_power) when some entry survives reduction."""
     p = h.detect_rank()
-    u, _ = h.levi_civita()
-    cols = w_column(h, u, l=l)
     shift = TensorOperator.identity(h.dim, p, h.field.one).scaled(
         h.field.one / h.q)
     for i in range(1, p):
@@ -299,7 +299,8 @@ def verify_char_poly(h, components, sets=None):
     u, v = h.levi_civita()
     if sets is None:
         sets = central_set(h)
-    cp = char_poly(h, u, v)
+    cols = w_column(h, u)
+    cp = char_poly(h, v, cols)
     out = []
     for i in range(p + 1):
         sig = sets.sigma[p - i] if i < p else NCPoly.const(h.field.one)
@@ -307,7 +308,7 @@ def verify_char_poly(h, components, sets=None):
         ok, res = member_at_degree(f, components)
         wit = None if ok else "residual %s" % res
         out.append(Check("char_poly_coeff_%d" % i, ok, wit))
-    ok, fail = eigen_relation_check(h, components)
+    ok, fail = eigen_relation_check(h, components, cols)
     out.append(Check("char_column_eigen_relation", ok,
                      None if ok else "first failure (i, x-power) = %s" % (fail,)))
     return out
@@ -409,7 +410,7 @@ def classical_crosscheck(h, seed=0):
               or defect.entry((a,), (b,)).evaluate(assign) == 0)
              for a in range(1, n + 1) for b in range(1, n + 1))
     checks.append(Check("classical_cayley_hamilton", ok))
-    cp = char_poly(h, u, v)
+    cp = char_poly(h, v, w_column(h, u))
     ok = all(cp.coeffs[k].evaluate(assign) == (-1) ** k * elementary[n - k]
              for k in range(n + 1))
     checks.append(Check("classical_char_poly", ok))

@@ -16,8 +16,6 @@ defect polynomial against an echelon basis of that slice.
 
 from __future__ import annotations
 
-import threading
-
 from .qscalar import format_scalar
 from .tensor import TensorOperator
 
@@ -219,13 +217,10 @@ class EchelonBasis:
 
     Rows are keyed by their lead monomial, normalized to lead coefficient
     one, and kept fully back-reduced (no row contains another row's lead).
-    Inserts are serialized by a lock; reads of a finished basis are safe
-    concurrently.
     """
 
     def __init__(self):
         self.rows = {}
-        self._lock = threading.Lock()
 
     def __len__(self):
         return len(self.rows)
@@ -249,18 +244,17 @@ class EchelonBasis:
 
     def insert(self, f):
         """Add f to the span; returns True if the rank grew."""
-        with self._lock:
-            r = self.reduce(f)
-            if not r:
-                return False
-            m, c = r.lead()
-            r = r * c ** -1
-            for lead, row in list(self.rows.items()):
-                cm = row.terms.get(m)
-                if cm is not None:
-                    self.rows[lead] = row - r * cm
-            self.rows[m] = r
-            return True
+        r = self.reduce(f)
+        if not r:
+            return False
+        m, c = r.lead()
+        r = r * c ** -1
+        for lead, row in list(self.rows.items()):
+            cm = row.terms.get(m)
+            if cm is not None:
+                self.rows[lead] = row - r * cm
+        self.rows[m] = r
+        return True
 
     def pivots(self):
         return sorted(self.rows, key=_mono_key)

@@ -950,6 +950,8 @@ def sample_rational_qs(count, seed):
 def sample_modular_qs(count, prime, seed, order_floor=18):
     """Distinct residues mod prime whose multiplicative order exceeds
     order_floor (so the q-numbers that matter are invertible)."""
+    if prime < 4:
+        raise SpecializationError("no residue in 2..prime-2 to sample")
     rng = Random(seed)
     out = []
     seen = set()

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from heckelab.cli import ConfigError, RunConfig, load_source, main, resolve_field, run
+from heckelab.cli import ConfigError, RunConfig, Source, load_source, main, resolve_field, run
 from heckelab.qscalar import parse_scalar
 
 
@@ -175,6 +175,46 @@ def test_bad_thread_env_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HECKE_LAB_THREADS", "many")
     assert main(["validate", "--builtin", "std:2"]) == 2
     assert "HECKE_LAB_THREADS" in capsys.readouterr().err
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    real = Source.build
+
+    def counted(self, fld):
+        builds.append(fld)
+        return real(self, fld)
+
+    monkeypatch.setattr(Source, "build", counted)
+    return builds
+
+
+@pytest.mark.parametrize("command, source, field", [
+    ("structure", "std:2", None),
+    ("charpoly", "std:4", "evaluated:3/2"),
+])
+def test_single_point_data_reuses_the_checked_symmetry(monkeypatch, command,
+                                                        source, field):
+    builds = _count_builds(monkeypatch)
+    report = run(RunConfig(command, builtin=source, field=field))
+    assert report.data is not None
+    assert len(builds) == 1
+
+
+def test_multi_point_run_builds_once_per_point(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    report = run(RunConfig("newton", builtin="std:3"))
+    assert report.field["strategy"] == "sampled:5"
+    assert len(builds) == 5
+
+
+@pytest.mark.parametrize("prime", [0, 1, 2, 3])
+def test_tiny_modulus_is_config_error(prime, capsys):
+    assert main(["validate", "--builtin", "std:2",
+                 "--field", "modular:%d" % prime]) == 2
+    err = capsys.readouterr().err
+    assert "bad modulus" in err
+    assert "Traceback" not in err
 
 
 # -- input files -------------------------------------------------------------

@@ -282,27 +282,47 @@ def _assert_all_ok(checks):
 
 
 def test_identity_suite_dim2_symbolic(std2):
-    checks = identity_suite(std2, seed=1)
+    checks = identity_suite(std2)
     assert [c.name for c in checks] == sorted(c.name for c in checks)
     _assert_all_ok(checks)
 
 
 def test_identity_suite_dim3_evaluated(std3_eval):
-    _assert_all_ok(identity_suite(std3_eval, seed=2))
+    _assert_all_ok(identity_suite(std3_eval))
 
 
 def test_identity_suite_dim3_symbolic(std3):
-    _assert_all_ok(identity_suite(std3, seed=3, samples=3))
+    _assert_all_ok(identity_suite(std3))
 
 
 def test_identity_suite_modular():
     f = make_field(FieldSpec.modular((1 << 61) - 1, 9001))
-    _assert_all_ok(identity_suite(builtin_standard(3, f), seed=4))
+    _assert_all_ok(identity_suite(builtin_standard(3, f)))
 
 
 def test_identity_suite_classical():
     f = make_field(FieldSpec.evaluated(1))
-    _assert_all_ok(identity_suite(builtin_permutation(3, f), seed=5))
+    _assert_all_ok(identity_suite(builtin_permutation(3, f)))
+
+
+def test_identity_suite_catches_dropped_symmetrize_term(std2, monkeypatch):
+    # symmetrize without its last term R_(k-1)...R_1 X_1 R_1...R_(k-1):
+    # both insertion identities must fail on a named matrix unit
+    def short(self, x, k):
+        term = acc = x.embed(1, k)
+        for i in range(1, k - 1):
+            ri = self.r_slot(i, k)
+            term = ri @ term @ ri
+            acc = acc + term
+        return acc
+
+    monkeypatch.setattr(HeckeSymmetry, "symmetrize", short)
+    checks = {c.name: c for c in identity_suite(std2)}
+    for name in ("symmetrized_insertion_projects",
+                 "symmetrized_insertion_commutes"):
+        assert not checks[name].ok
+        assert checks[name].witness.startswith("E_(")
+    assert checks["conjugation_scalar_one_slot"].ok
 
 
 def test_flip_operator_is_involution():

@@ -185,7 +185,7 @@ def test_cayley_hamilton_defect_entries_nonzero(std2, sets2):
 
 def test_char_poly_shape_and_top(std2):
     u, v = std2.levi_civita()
-    cp = char_poly(std2, u, v)
+    cp = char_poly(std2, v, w_column(std2, u))
     assert cp.degree() == 2
     assert cp.coeffs[2] == 1
     for k, c in enumerate(cp.coeffs):
@@ -195,12 +195,26 @@ def test_char_poly_shape_and_top(std2):
 def test_char_poly_linear_coeff_exact(std2, sets2):
     # the degree-1 ideal slice is zero, so the x^1 statement is exact
     u, v = std2.levi_civita()
-    cp = char_poly(std2, u, v)
+    cp = char_poly(std2, v, w_column(std2, u))
     assert cp.coeffs[1] == -sets2.sigma[1]
 
 
 def test_char_poly_suite(std2, comps2, sets2):
     _all_ok(verify_char_poly(std2, comps2, sets2))
+
+
+def test_char_poly_suite_builds_w_once(std2, comps2, sets2, monkeypatch):
+    import heckelab.invariants as inv
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return w_column(*args, **kwargs)
+
+    monkeypatch.setattr(inv, "w_column", counted)
+    _all_ok(verify_char_poly(std2, comps2, sets2))
+    assert len(calls) == 1
 
 
 def test_w_column_grading(std2):
@@ -214,14 +228,16 @@ def test_w_column_grading(std2):
 
 
 def test_eigen_relation(std2, comps2):
-    ok, fail = eigen_relation_check(std2, comps2)
+    u, _ = std2.levi_civita()
+    ok, fail = eigen_relation_check(std2, comps2, w_column(std2, u))
     assert ok and fail is None
 
 
 def test_eigen_relation_perturbed_l(std2, comps2):
     bad = generator_matrix(2)
     del bad.entries[(0, 0)]
-    ok, fail = eigen_relation_check(std2, comps2, l=bad)
+    u, _ = std2.levi_civita()
+    ok, fail = eigen_relation_check(std2, comps2, w_column(std2, u, l=bad))
     assert not ok
     assert fail == (1, 0)
 
@@ -378,7 +394,7 @@ def test_std4_sigma_and_delta_at_scalar_matrix():
             nxt[k + 1] -= co * q ** (2 * i)
         want = nxt
     scale = (-1 / q) ** (p * (p - 1))
-    got = [co.evaluate(assign) for co in char_poly(h, u, v).coeffs]
+    got = [co.evaluate(assign) for co in char_poly(h, v, w_column(h, u)).coeffs]
     assert got == [scale * co for co in want]
 
 
