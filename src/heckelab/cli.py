@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from fractions import Fraction
 from . import __version__
 from .hecke import (
     DEFAULT_RANK_BOUND,
+    Check,
     HeckeError,
     HeckeViolationError,
     NotClosedError,
@@ -51,9 +51,7 @@ from .qscalar import (
 )
 from .tensor import TensorOperator, decode
 
-THREADS_ENV = "HECKE_LAB_THREADS"
 MODULAR_POINTS = 5
-SKIP = object()  # mid-pipeline outcome sentinel, distinct from True/False
 
 COMMANDS = ("validate", "rank", "structure", "newton", "cayley-hamilton", "charpoly")
 
@@ -110,8 +108,9 @@ def load_source(cfg):
         n = int(parts[1])
         if n < 2:
             raise ConfigError("builtin dimension must be at least 2")
-        if parts[0] == "std" and n > 4:
-            raise ConfigError("builtin std symmetries are catalogued up to N = 4")
+        if n > 4:
+            raise ConfigError("builtin %s symmetries are catalogued up to N = 4"
+                              % parts[0])
         return Source(parts[0], n)
     return _load_rmatrix_file(cfg.input_path)
 
@@ -130,7 +129,9 @@ def _load_rmatrix_file(path):
     if missing:
         raise ConfigError("R-matrix file lacks keys: %s" % ", ".join(sorted(missing)))
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 2:
+    # type(...) is int, not isinstance: JSON true and false load as bool,
+    # which is an int subclass, and are not indices
+    if type(dim) is not int or dim < 2:
         raise ConfigError('"dim" must be an integer >= 2')
     file_q = None
     if doc["q"] != "symbolic":
@@ -150,7 +151,7 @@ def _load_rmatrix_file(path):
         for side in ("in", "out"):
             idx = ent[side]
             if (not isinstance(idx, list) or len(idx) != 2
-                    or not all(isinstance(i, int) and 1 <= i <= dim for i in idx)):
+                    or not all(type(i) is int and 1 <= i <= dim for i in idx)):
                 raise ConfigError('entry %d: "%s" must be two indices in 1..%d'
                                   % (pos, side, dim))
             key.append(tuple(idx))
@@ -233,141 +234,110 @@ def resolve_field(cfg, src):
 
 
 # ---------------------------------------------------------------------------
-# per-point pipelines; each returns (symmetry or None,
-# [(name, True|False|SKIP, witness)])
+# per-point pipelines; each returns (symmetry or None, [Check]), a Check
+# with ok None being reported as skipped
 # ---------------------------------------------------------------------------
 
-def _from_checks(checks):
-    return [(c.name, c.ok, c.witness) for c in checks]
-
-
 def _build(src, spec):
-    """Validated symmetry, or the axiom records when validation fails."""
+    """Validated symmetry, or the axiom checks when validation fails."""
     fld = make_field(spec)
     try:
         return src.build(fld), None
     except YBEViolationError as e:
-        recs = [("yang_baxter", False, str(e)),
-                ("hecke_quadratic", SKIP, "not evaluated: braid relation failed"),
-                ("closedness", SKIP, "not evaluated: braid relation failed")]
+        checks = [Check("yang_baxter", False, str(e)),
+                  Check("hecke_quadratic", None, "not evaluated: braid relation failed"),
+                  Check("closedness", None, "not evaluated: braid relation failed")]
     except HeckeViolationError as e:
-        recs = [("yang_baxter", True, None),
-                ("hecke_quadratic", False, str(e)),
-                ("closedness", SKIP, "not evaluated: Hecke condition failed")]
-    return None, recs
+        checks = [Check("yang_baxter", True),
+                  Check("hecke_quadratic", False, str(e)),
+                  Check("closedness", None, "not evaluated: Hecke condition failed")]
+    return None, checks
 
 
 def _run_validate(src, spec, cfg):
-    h, recs = _build(src, spec)
+    h, checks = _build(src, spec)
     if h is None:
-        return h, recs
-    recs = [("yang_baxter", True, None), ("hecke_quadratic", True, None)]
+        return h, checks
     try:
         h.check_closed()
-        recs.append(("closedness", True, None))
+        closed = Check("closedness", True)
     except NotClosedError as e:
-        recs.append(("closedness", False, str(e)))
-    return h, recs
+        closed = Check("closedness", False, str(e))
+    return h, [Check("yang_baxter", True), Check("hecke_quadratic", True), closed]
 
 
-def _rank_or_record(h, cfg):
+def _rank_or_check(h, cfg):
     try:
         return h.detect_rank(cfg.rank_bound), None
     except HeckeError as e:
-        return None, ("rank_detected", False, str(e))
+        return None, Check("rank_detected", False, str(e))
 
 
 def _run_rank(src, spec, cfg):
-    h, recs = _build(src, spec)
+    h, checks = _build(src, spec)
     if h is None:
-        return h, recs
-    p, bad = _rank_or_record(h, cfg)
+        return h, checks
+    p, bad = _rank_or_check(h, cfg)
     if bad is not None:
         return h, [bad]
-    recs = [("rank_detected", True, "p = %d" % p)]
     top = h.antisymmetrizer(p)
-    recs.append(("top_antisym_trace_one",
-                 top.trace_full() == h.field.one, None))
-    recs.append(("top_antisym_idempotent_rank_one",
-                 top.idempotent_rank() == 1, None))
-    recs.append(("vanishing_beyond_rank",
-                 h.antisymmetrizer(p + 1).is_zero(), None))
-    recs.extend(_from_checks(antisym_checks(h, p)))
-    return h, recs
+    checks = [Check("rank_detected", True, "p = %d" % p),
+              Check("top_antisym_trace_one", top.trace_full() == h.field.one),
+              Check("top_antisym_idempotent_rank_one", top.idempotent_rank() == 1),
+              Check("vanishing_beyond_rank", h.antisymmetrizer(p + 1).is_zero())]
+    return h, checks + antisym_checks(h, p)
 
 
 def _run_structure(src, spec, cfg):
-    h, recs = _build(src, spec)
+    h, checks = _build(src, spec)
     if h is None:
-        return h, recs
+        return h, checks
     try:
         h.check_closed()
     except NotClosedError as e:
-        return h, [("closedness", False, str(e))]
-    p, bad = _rank_or_record(h, cfg)
+        return h, [Check("closedness", False, str(e))]
+    p, bad = _rank_or_check(h, cfg)
     if bad is not None:
         return h, [bad]
-    return h, _from_checks(identity_suite(h))
+    return h, identity_suite(h)
 
 
-def _membership_pipeline(src, spec, cfg):
-    """Shared front half of newton / cayley-hamilton / charpoly."""
-    h, recs = _build(src, spec)
-    if h is None:
-        return h, None, None, recs
-    p, bad = _rank_or_record(h, cfg)
-    if bad is not None:
-        return h, None, None, [bad]
-    try:
-        comps = ideal_components(h, p)
-    except ResourceError as e:
-        return h, p, None, [("ideal_components", SKIP, str(e))]
-    return h, p, comps, None
+def _membership(verify, names):
+    """Runner of a command whose checks are ideal memberships:
+    verify(h, components) makes the checks, and names(h, p) names them
+    when the ideal slices are refused, so each is reported skipped."""
+    def runner(src, spec, cfg):
+        h, checks = _build(src, spec)
+        if h is None:
+            return h, checks
+        p, bad = _rank_or_check(h, cfg)
+        if bad is not None:
+            return h, [bad]
+        try:
+            comps = ideal_components(h, p)
+        except ResourceError as e:
+            return h, [Check(name, None, str(e)) for name in names(h, p)]
+        return h, verify(h, comps)
+    return runner
 
 
-def _skip_all(names, witness):
-    return [(n, SKIP, witness) for n in names]
-
-
-def _run_newton(src, spec, cfg):
-    h, p, comps, recs = _membership_pipeline(src, spec, cfg)
-    if comps is None:
-        if recs and recs[0][1] is SKIP:
-            return h, _skip_all(["newton_defect_%d" % i for i in range(1, p + 1)],
-                                recs[0][2])
-        return h, recs
-    return h, _from_checks(verify_newton(h, central_set(h), comps))
-
-
-def _run_cayley_hamilton(src, spec, cfg):
-    h, p, comps, recs = _membership_pipeline(src, spec, cfg)
-    if comps is None:
-        if recs and recs[0][1] is SKIP:
-            names = ["cayley_hamilton_entry_%d_%d" % (a, b)
-                     for a in range(1, h.dim + 1) for b in range(1, h.dim + 1)]
-            return h, _skip_all(names, recs[0][2])
-        return h, recs
-    return h, _from_checks(verify_cayley_hamilton(h, central_set(h), comps))
-
-
-def _run_charpoly(src, spec, cfg):
-    h, p, comps, recs = _membership_pipeline(src, spec, cfg)
-    if comps is None:
-        if recs and recs[0][1] is SKIP:
-            names = ["char_poly_coeff_%d" % i for i in range(p + 1)]
-            names.append("char_column_eigen_relation")
-            return h, _skip_all(names, recs[0][2])
-        return h, recs
-    return h, _from_checks(verify_char_poly(h, comps))
-
-
+# The verifiers are looked up when a runner runs, not bound here, so a
+# caller that rebinds this module's attributes (a tracer) sees the calls.
 _RUNNERS = {
     "validate": _run_validate,
     "rank": _run_rank,
     "structure": _run_structure,
-    "newton": _run_newton,
-    "cayley-hamilton": _run_cayley_hamilton,
-    "charpoly": _run_charpoly,
+    "newton": _membership(
+        lambda h, comps: verify_newton(h, central_set(h), comps),
+        lambda h, p: ["newton_defect_%d" % i for i in range(1, p + 1)]),
+    "cayley-hamilton": _membership(
+        lambda h, comps: verify_cayley_hamilton(h, central_set(h), comps),
+        lambda h, p: ["cayley_hamilton_entry_%d_%d" % (a, b)
+                      for a in range(1, h.dim + 1) for b in range(1, h.dim + 1)]),
+    "charpoly": _membership(
+        lambda h, comps: verify_char_poly(h, comps),
+        lambda h, p: ["char_poly_coeff_%d" % i for i in range(p + 1)]
+        + ["char_column_eigen_relation"]),
 }
 
 
@@ -447,64 +417,46 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _merge_points(plan, point_recs, timings):
-    """Fold per-point outcome triples into one record per check name.
+def _merge_points(plan, point_checks, timings):
+    """Fold the per-point checks into one record per check name.
     Point order is the sampling order, so merging is deterministic."""
-    order = []
     by_name = {}
-    for specno, recs in enumerate(point_recs):
-        for name, outcome, witness in recs:
-            if name not in by_name:
-                order.append(name)
-                by_name[name] = []
-            by_name[name].append((specno, outcome, witness))
+    for specno, checks in enumerate(point_checks):
+        for c in checks:
+            by_name.setdefault(c.name, []).append((specno, c))
     merged = []
     pass_status = plan.pass_status()
     names = plan.point_names()
     share = sum(timings) / max(len(by_name), 1)
-    for name in sorted(order):
+    for name in sorted(by_name):
         rows = by_name[name]
-        fails = [(i, w) for i, oc, w in rows if oc is False]
-        skips = [(i, w) for i, oc, w in rows if oc is SKIP]
+        fails = [(i, c.witness) for i, c in rows if c.ok is False]
+        skips = [c.witness for _, c in rows if c.ok is None]
         if fails:
             i, w = fails[0]
             wit = w if len(plan.specs) == 1 else "at q = %s: %s" % (names[i], w)
             merged.append(CheckRecord(name, "failed", wit, share))
         elif skips:
-            merged.append(CheckRecord(name, "skipped", skips[0][1], share))
+            merged.append(CheckRecord(name, "skipped", skips[0], share))
         else:
-            wit = rows[0][2] if len({w for _, _, w in rows}) == 1 else None
+            wit = rows[0][1].witness if len({c.witness for _, c in rows}) == 1 else None
             merged.append(CheckRecord(name, pass_status, wit, share))
     return merged
 
 
-def _check_threads_env():
-    """HECKE_LAB_THREADS, when set, must be a positive integer.  Points
-    run one after another whatever its value, so it changes nothing."""
-    raw = os.environ.get(THREADS_ENV)
-    if not raw:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError("%s must be an integer, got %r" % (THREADS_ENV, raw))
-    if cap < 1:
-        raise ConfigError("%s must be a positive integer" % THREADS_ENV)
-
-
 def _run_points(plan, fn):
-    """fn(spec) -> (symmetry, records) for every field point, one after
-    another in sampling order.  Returns the records, the times in ms and,
+    """fn(spec) -> (symmetry, checks) for every field point, one after
+    another in sampling order.  Returns the checks, the times in ms and,
     for a single-point plan, its symmetry; on a multi-point plan each
     symmetry is dropped before the next point is built."""
-    point_recs, timings = [], []
+    point_checks, timings = [], []
     for spec in plan.specs:
         h = None
         t0 = time.perf_counter()
-        h, recs = fn(spec)
+        h, checks = fn(spec)
         timings.append((time.perf_counter() - t0) * 1000.0)
-        point_recs.append(recs)
-    return point_recs, timings, h if len(plan.specs) == 1 else None
+        point_checks.append(checks)
+    return point_checks, timings, h if len(plan.specs) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +507,9 @@ def _charpoly_data(h):
 def run(cfg):
     src = load_source(cfg)
     plan = resolve_field(cfg, src)
-    _check_threads_env()
     runner = _RUNNERS[cfg.command]
-    point_recs, timings, h = _run_points(plan, lambda spec: runner(src, spec, cfg))
-    checks = _merge_points(plan, point_recs, timings)
+    point_checks, timings, h = _run_points(plan, lambda spec: runner(src, spec, cfg))
+    checks = _merge_points(plan, point_checks, timings)
     data = None
     if h is not None and all(c.status != "failed" for c in checks):
         if cfg.command == "structure":

@@ -149,44 +149,33 @@ class HeckeSymmetry:
     def matrix_c(self):
         """Trace-weight matrix C with Tr_q M = Tr(C M)."""
         if self._c is None:
-            inv = self.rt1_inverse()
-            d = self.dim
-            acc = {}
-            for (r, c), v in inv.entries.items():
-                k1, k2 = c % d, c // d
-                if k1 != k2:
-                    continue
-                j, i = r % d, r // d
-                key = (i, j)
-                s = acc.get(key)
-                s = v if s is None else s + v
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-            self._c = TensorOperator(d, 1, acc)
+            self._c = self._trace_weights(True)
         return self._c
 
     def matrix_b(self):
         """Companion weight matrix B with Tr_(1)(B_1 R_12) = I."""
         if self._b is None:
-            inv = self.rt1_inverse()
-            d = self.dim
-            acc = {}
-            for (r, c), v in inv.entries.items():
-                k1, k2 = r % d, r // d
-                if k1 != k2:
-                    continue
-                i, j = c % d, c // d
-                key = (i, j)
-                s = acc.get(key)
-                s = v if s is None else s + v
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-            self._b = TensorOperator(d, 1, acc)
+            self._b = self._trace_weights(False)
         return self._b
+
+    def _trace_weights(self, for_c):
+        """Sum the entries of ((P @ R)^t1)^-1 whose column (for C) or row
+        (for B) is a diagonal pair (k, k); the other index (j, i) gives the
+        entry (i, j) of C, or the entry (j, i) of B."""
+        d = self.dim
+        acc = {}
+        for (r, c), v in self.rt1_inverse().entries.items():
+            diag, kept = (c, r) if for_c else (r, c)
+            if diag % d != diag // d:
+                continue
+            key = (kept // d, kept % d) if for_c else (kept % d, kept // d)
+            s = acc.get(key)
+            s = v if s is None else s + v
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
+        return TensorOperator(d, 1, acc)
 
     def quantum_trace(self, m):
         """Tr_q M = Tr(C M); M may have noncommutative entries."""
@@ -264,21 +253,15 @@ class HeckeSymmetry:
                 return r if term is None else r @ term
 
             return (self._staircase_sum(k, grow) @ prev).scaled(self.field.one / kq)
-        if variant == "rec_top":
-            # from P^(k-1) R_(k-1) P^(k-1) embedded at slot 1
+        if variant in ("rec_top", "rec_bottom"):
+            # from P^(k-1) R_(k-1) P^(k-1) with P^(k-1) at slot 1, or
+            # P^(k-1) R_1 P^(k-1) with P^(k-1) at slot 2
             m = k - 1
-            mq = self.q_number(m)
-            kq = self.q_number(k)
-            p1 = self.antisymmetrizer(m).embed(1, k)
-            mid = p1 @ self.r_slot(m, k) @ p1
-            return (p1.scaled(self.q ** m) - mid.scaled(mq)).scaled(self.field.one / kq)
-        if variant == "rec_bottom":
-            m = k - 1
-            mq = self.q_number(m)
-            kq = self.q_number(k)
-            p2 = self.antisymmetrizer(m).embed(2, k)
-            mid = p2 @ self.r_slot(1, k) @ p2
-            return (p2.scaled(self.q ** m) - mid.scaled(mq)).scaled(self.field.one / kq)
+            top = variant == "rec_top"
+            pm = self.antisymmetrizer(m).embed(1 if top else 2, k)
+            mid = pm @ self.r_slot(m if top else 1, k) @ pm
+            return (pm.scaled(self.q ** m)
+                    - mid.scaled(self.q_number(m))).scaled(self.field.one / kq)
         raise ValueError("unknown variant %r" % variant)
 
     # -- rank and the Levi-Civita pair ---------------------------------------
@@ -385,7 +368,7 @@ def builtin_permutation(n, field):
 @dataclass
 class Check:
     name: str
-    ok: bool
+    ok: bool                     # True | False | None = not evaluated (skipped)
     witness: str = None
 
 

@@ -22,7 +22,6 @@ from random import Random
 
 from .hecke import Check
 from .ncalgebra import (
-    DEFAULT_COLUMN_CAP,
     NCPoly,
     generator_matrix,
     ideal_component,
@@ -37,10 +36,9 @@ class LPowers:
     """Cache of powers of the generator matrix; L^0 is the identity with
     unit coefficients, L^k entries are homogeneous of degree k."""
 
-    def __init__(self, n, one=1, l=None):
+    def __init__(self, n, one=1):
         self.n = n
-        base = generator_matrix(n) if l is None else l
-        self._pow = [TensorOperator.identity(n, 1, one), base]
+        self._pow = [TensorOperator.identity(n, 1, one), generator_matrix(n)]
 
     def __getitem__(self, k):
         while len(self._pow) <= k:
@@ -221,14 +219,14 @@ def centrality_defects(h, sets, i):
     return out
 
 
-def ideal_components(h, max_degree, column_cap=DEFAULT_COLUMN_CAP):
+def ideal_components(h, max_degree):
     """Graded ideal slices 2..max_degree for the symmetry's relations.
 
     The top slice is built first: it is the largest, so a column-cap
     refusal comes before any slice has been built."""
     rels = re_relations(h)
     degrees = range(2, max_degree + 1)
-    comps = {d: ideal_component(rels, d, column_cap) for d in reversed(degrees)}
+    comps = {d: ideal_component(rels, d) for d in reversed(degrees)}
     return {d: comps[d] for d in degrees}
 
 
@@ -294,7 +292,9 @@ def verify_cayley_hamilton(h, sets, components):
 
 def verify_char_poly(h, components, sets=None):
     """Delta's x^i coefficient minus (-1)^i sigma(p-i) is in the
-    degree-(p-i) slice, and the braid generators fix w(x) up to -1/q."""
+    degree-(p-i) slice, and the braid generators fix w(x) up to -1/q.
+    The coefficient defects are already zero in the free algebra, so
+    only the eigen relation exercises the ideal."""
     p = h.detect_rank()
     u, v = h.levi_civita()
     if sets is None:

@@ -27,7 +27,7 @@ class DegreeError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """Monomial space too large for the configured cap."""
+    """Monomial space larger than DEFAULT_COLUMN_CAP."""
 
 
 def _scalar(x):
@@ -217,9 +217,11 @@ class EchelonBasis:
 
     Rows are keyed by their lead monomial, normalized to lead coefficient
     one, and kept fully back-reduced (no row contains another row's lead).
+    ``degree`` is the slice degree that ``is_member`` checks against.
     """
 
-    def __init__(self):
+    def __init__(self, degree=None):
+        self.degree = degree
         self.rows = {}
 
     def __len__(self):
@@ -260,21 +262,6 @@ class EchelonBasis:
         return sorted(self.rows, key=_mono_key)
 
 
-class IdealBasisAtDegree:
-    """Echelonized degree-d slice of the graded two-sided ideal."""
-
-    def __init__(self, degree, basis):
-        self.degree = degree
-        self.basis = basis
-
-    @property
-    def rank(self):
-        return self.basis.rank
-
-    def reduce(self, f):
-        return self.basis.reduce(f)
-
-
 def _max_generator_index(relations):
     n = 0
     for r in relations:
@@ -284,37 +271,38 @@ def _max_generator_index(relations):
     return n
 
 
-def ideal_component(relations, d, column_cap=DEFAULT_COLUMN_CAP, n=None):
+def ideal_component(relations, d):
     """Echelon basis of the degree-d slice of the two-sided ideal
     generated by the (homogeneous quadratic) relations.
 
     Built iteratively: the degree-(k+1) slice is spanned by g * w and
     w * g over all generators g and all rows w of the degree-k slice,
     which equals the span of all m_L * r * m_R with matching degrees.
+    A slice spanning more than DEFAULT_COLUMN_CAP monomials is refused
+    before any row is built.
     """
     if d < 2:
         raise DegreeError("ideal components start at degree 2")
-    if n is None:
-        n = _max_generator_index(relations)
+    n = _max_generator_index(relations)
     columns = (n * n) ** d
-    if columns > column_cap:
+    if columns > DEFAULT_COLUMN_CAP:
         raise ResourceError(
             "degree-%d slice spans %d monomials, over the cap of %d"
-            % (d, columns, column_cap))
+            % (d, columns, DEFAULT_COLUMN_CAP))
     gens = [NCPoly.generator(i, j)
             for i in range(1, n + 1) for j in range(1, n + 1)]
-    basis = EchelonBasis()
+    basis = EchelonBasis(2)
     for r in relations:
         if r:
             basis.insert(r)
-    for _ in range(d - 2):
-        grown = EchelonBasis()
+    for k in range(3, d + 1):
+        grown = EchelonBasis(k)
         for w in [basis.rows[m] for m in basis.pivots()]:
             for g in gens:
                 grown.insert(g * w)
                 grown.insert(w * g)
         basis = grown
-    return IdealBasisAtDegree(d, basis)
+    return basis
 
 
 def is_member(f, basis):

@@ -262,7 +262,7 @@ class TensorOperator:
             rows[r][c] = v
         return rows
 
-    def invert(self, one=None):
+    def invert(self):
         """Exact inverse by Gaussian elimination.
 
         Pivots prefer small entries (bit-size heuristic for concrete
@@ -271,8 +271,7 @@ class TensorOperator:
         n = self.size
         a = self.to_dense()
         inv = [[0] * n for _ in range(n)]
-        if one is None:
-            one = _one_like(next(iter(self.entries.values()))) if self.entries else 1
+        one = _one_like(next(iter(self.entries.values()))) if self.entries else 1
         for i in range(n):
             inv[i][i] = one
         for col in range(n):
@@ -413,8 +412,9 @@ def _as_integer(x, bound):
 # covariant (column) and contravariant (row) tensors
 # ---------------------------------------------------------------------------
 
-class CoTensor:
-    """Column vector u with lower indices: entries {flat_index: value}."""
+class _Vector:
+    """Storage and linear algebra shared by the two vector kinds:
+    entries {flat_index: value} over V^(arity)."""
 
     __slots__ = ("dim", "arity", "entries")
 
@@ -431,7 +431,7 @@ class CoTensor:
         return self.entries.get(encode(index, self.dim), 0)
 
     def __eq__(self, other):
-        if not isinstance(other, CoTensor):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return (self.dim == other.dim and self.arity == other.arity
                 and self.entries == other.entries)
@@ -441,14 +441,14 @@ class CoTensor:
 
     def scaled(self, c):
         if not c:
-            return CoTensor(self.dim, self.arity, {})
-        return CoTensor(self.dim, self.arity,
-                        {k: c * v for k, v in self.entries.items()})
+            return type(self)(self.dim, self.arity, {})
+        return type(self)(self.dim, self.arity,
+                          {k: c * v for k, v in self.entries.items()})
 
     __rmul__ = scaled
 
     def __add__(self, other):
-        assert isinstance(other, CoTensor)
+        assert isinstance(other, type(self))
         d = dict(self.entries)
         for k, v in other.entries.items():
             s = d.get(k)
@@ -457,64 +457,26 @@ class CoTensor:
                 d[k] = s
             else:
                 d.pop(k, None)
-        return CoTensor(self.dim, self.arity, d)
+        return type(self)(self.dim, self.arity, d)
 
     def __sub__(self, other):
         return self + other.scaled(-1)
 
     def __repr__(self):
-        return "CoTensor(dim=%d, arity=%d, nnz=%d)" % (
-            self.dim, self.arity, len(self.entries))
+        return "%s(dim=%d, arity=%d, nnz=%d)" % (
+            type(self).__name__, self.dim, self.arity, len(self.entries))
 
 
-class ContraTensor:
-    """Row vector v with upper indices: entries {flat_index: value}."""
+class CoTensor(_Vector):
+    """Column vector u with lower indices."""
 
-    __slots__ = ("dim", "arity", "entries")
+    __slots__ = ()
 
-    def __init__(self, dim, arity, entries=None):
-        self.dim = dim
-        self.arity = arity
-        self.entries = {} if entries is None else entries
 
-    @classmethod
-    def from_multi(cls, dim, arity, items):
-        return cls(dim, arity, {encode(t, dim): v for t, v in items.items() if v})
+class ContraTensor(_Vector):
+    """Row vector v with upper indices."""
 
-    def entry(self, index):
-        return self.entries.get(encode(index, self.dim), 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, ContraTensor):
-            return NotImplemented
-        return (self.dim == other.dim and self.arity == other.arity
-                and self.entries == other.entries)
-
-    def is_zero(self):
-        return not self.entries
-
-    def scaled(self, c):
-        if not c:
-            return ContraTensor(self.dim, self.arity, {})
-        return ContraTensor(self.dim, self.arity,
-                            {k: c * v for k, v in self.entries.items()})
-
-    __rmul__ = scaled
-
-    def __add__(self, other):
-        assert isinstance(other, ContraTensor)
-        d = dict(self.entries)
-        for k, v in other.entries.items():
-            s = d.get(k)
-            s = v if s is None else s + v
-            if s:
-                d[k] = s
-            else:
-                d.pop(k, None)
-        return ContraTensor(self.dim, self.arity, d)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
+    __slots__ = ()
 
     def __matmul__(self, other):
         if isinstance(other, CoTensor):
@@ -545,10 +507,6 @@ class ContraTensor:
             return ContraTensor(self.dim, self.arity, acc)
         return NotImplemented
 
-    def __repr__(self):
-        return "ContraTensor(dim=%d, arity=%d, nnz=%d)" % (
-            self.dim, self.arity, len(self.entries))
-
 
 def outer(u, v):
     """Rank-1 operator u v from a column and a row."""
@@ -562,16 +520,16 @@ def outer(u, v):
     return TensorOperator(u.dim, u.arity, entries)
 
 
-def contract_keep_first(u, v):
-    """M_a^b = sum over tails m of u_(a,m) v^(b,m); arity-1 result."""
+def _contract(u, v, split):
+    """M_a^b = sum over m of u_k v^l, where split(k) = (a, m) and
+    split(l) = (b, m); arity-1 result."""
     assert u.dim == v.dim and u.arity == v.arity
-    d = u.dim
     acc = {}
     for ku, a in u.entries.items():
-        ra, tail = ku % d, ku // d
+        ra, rest = split(ku)
         for kv, b in v.entries.items():
-            cb, tail2 = kv % d, kv // d
-            if tail != tail2:
+            cb, rest2 = split(kv)
+            if rest != rest2:
                 continue
             key = (ra, cb)
             s = acc.get(key)
@@ -580,26 +538,16 @@ def contract_keep_first(u, v):
                 acc[key] = s
             else:
                 acc.pop(key, None)
-    return TensorOperator(d, 1, acc)
+    return TensorOperator(u.dim, 1, acc)
+
+
+def contract_keep_first(u, v):
+    """M_a^b = sum over tails m of u_(a,m) v^(b,m); arity-1 result."""
+    d = u.dim
+    return _contract(u, v, lambda k: (k % d, k // d))
 
 
 def contract_keep_last(u, v):
     """M_a^b = sum over heads m of u_(m,a) v^(m,b); arity-1 result."""
-    assert u.dim == v.dim and u.arity == v.arity
-    d = u.dim
-    top = d ** (u.arity - 1)
-    acc = {}
-    for ku, a in u.entries.items():
-        head, ra = ku % top, ku // top
-        for kv, b in v.entries.items():
-            head2, cb = kv % top, kv // top
-            if head != head2:
-                continue
-            key = (ra, cb)
-            s = acc.get(key)
-            s = a * b if s is None else s + a * b
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    return TensorOperator(d, 1, acc)
+    top = u.dim ** (u.arity - 1)
+    return _contract(u, v, lambda k: (k // top, k % top))

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -163,20 +164,6 @@ def test_seed_changes_sample_points(tmp_path):
     assert b["config"]["seed"] == 7
 
 
-def test_thread_cap_does_not_change_report(tmp_path, monkeypatch):
-    monkeypatch.setenv("HECKE_LAB_THREADS", "1")
-    _, a = run_json(tmp_path, ["validate", "--builtin", "std:3"], "a.json")
-    monkeypatch.setenv("HECKE_LAB_THREADS", "4")
-    _, b = run_json(tmp_path, ["validate", "--builtin", "std:3"], "b.json")
-    assert strip_timing(a) == strip_timing(b)
-
-
-def test_bad_thread_env_is_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HECKE_LAB_THREADS", "many")
-    assert main(["validate", "--builtin", "std:2"]) == 2
-    assert "HECKE_LAB_THREADS" in capsys.readouterr().err
-
-
 def _count_builds(monkeypatch):
     builds = []
     real = Source.build
@@ -206,6 +193,36 @@ def test_multi_point_run_builds_once_per_point(monkeypatch):
     report = run(RunConfig("newton", builtin="std:3"))
     assert report.field["strategy"] == "sampled:5"
     assert len(builds) == 5
+
+
+def test_multi_point_run_frees_each_symmetry_before_the_next(monkeypatch):
+    # a point's symmetry and its caches are garbage before the next point
+    # is built, so a multi-point run holds one symmetry at a time
+    refs, alive = [], []
+    real = Source.build
+
+    def tracked(self, fld):
+        alive.append(sum(r() is not None for r in refs))
+        h = real(self, fld)
+        refs.append(weakref.ref(h))
+        return h
+
+    monkeypatch.setattr(Source, "build", tracked)
+    run(RunConfig("newton", builtin="std:3"))
+    assert len(refs) == 5
+    assert alive == [0] * 5
+
+
+def test_perm_builtin_is_bounded_like_std(monkeypatch, capsys):
+    # perm:N rank would build antisymmetrizers on V^k for k up to
+    # min(N + 1, 8); the bound refuses N > 4 before anything is built
+    builds = _count_builds(monkeypatch)
+    with pytest.raises(ConfigError, match="up to N = 4"):
+        load_source(RunConfig("rank", builtin="perm:5"))
+    assert main(["rank", "--builtin", "perm:5"]) == 2
+    assert "up to N = 4" in capsys.readouterr().err
+    assert builds == []
+    assert load_source(RunConfig("rank", builtin="perm:4")).dim == 4
 
 
 @pytest.mark.parametrize("prime", [0, 1, 2, 3])
@@ -270,6 +287,11 @@ def test_pinned_q_rejects_field_flag(tmp_path, capsys):
     lambda d: d["entries"].append(dict(d["entries"][0])),
     lambda d: d["entries"].append(
         {"in": [2, 1], "out": [2, 1], "value": "q +"}),
+    # JSON booleans load as bool, an int subclass, but are not integers
+    lambda d: d.__setitem__("dim", True),
+    lambda d: d["entries"][0].__setitem__("in", [True, True]),
+    lambda d: d["entries"][0].__setitem__("out", [True, True]),
+    lambda d: d["entries"][4].__setitem__("in", [True, 2]),
 ])
 def test_malformed_files_exit_2(tmp_path, capsys, mangle):
     doc = json.loads(json.dumps(GOOD_FILE))

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckelab import ncalgebra
 from heckelab.cli import RunConfig, run
 from heckelab.hecke import builtin_permutation, builtin_standard
 from heckelab.invariants import (
@@ -203,6 +204,35 @@ def test_char_poly_suite(std2, comps2, sets2):
     _all_ok(verify_char_poly(std2, comps2, sets2))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: builtin_standard(2, SYM),
+    lambda: builtin_standard(3, make_field(FieldSpec.evaluated(Fraction(3, 2)))),
+    lambda: builtin_standard(4, make_field(FieldSpec.evaluated(Fraction(3, 2)))),
+    lambda: builtin_permutation(3, make_field(FieldSpec.evaluated(1))),
+], ids=["std2-symbolic", "std3-3/2", "std4-3/2", "perm3"])
+def test_char_poly_coefficients_hold_in_the_free_algebra(build):
+    # Delta's x^i coefficient is (-1)^i sigma(p - i) before any reduction,
+    # so of verify_char_poly's checks only the eigen relation needs the ideal
+    h = build()
+    p = h.detect_rank()
+    u, v = h.levi_civita()
+    sets = central_set(h)
+    cp = char_poly(h, v, w_column(h, u))
+    for i in range(p + 1):
+        sig = sets.sigma[p - i] if i < p else NCPoly.const(h.field.one)
+        assert (cp.coeffs[i] - h.field.of_int((-1) ** i) * sig).is_zero(), i
+
+
+def test_char_poly_coefficient_control_fails_alone():
+    # sigma(1) + L[1,2] in place of sigma(1) breaks exactly the x^2
+    # coefficient of Delta at p = 3; the eigen relation does not read sets
+    h = builtin_standard(3, make_field(FieldSpec.evaluated(Fraction(3, 2))))
+    sets = central_set(h)
+    sets.sigma[1] = sets.sigma[1] + NCPoly.generator(1, 2)
+    checks = verify_char_poly(h, ideal_components(h, 3), sets)
+    assert [c.name for c in checks if not c.ok] == ["char_poly_coeff_2"]
+
+
 def test_char_poly_suite_builds_w_once(std2, comps2, sets2, monkeypatch):
     import heckelab.invariants as inv
 
@@ -304,9 +334,11 @@ def test_deleted_relation_breaks_memberships(std2, sets2):
     assert any(not c.ok for c in checks)
 
 
-def test_resource_cap_surfaces(std2):
+def test_resource_cap_surfaces(std2, monkeypatch):
+    # 256 degree-4 monomials against a cap of 100
+    monkeypatch.setattr(ncalgebra, "DEFAULT_COLUMN_CAP", 100)
     with pytest.raises(ResourceError):
-        ideal_components(std2, 4, column_cap=100)
+        ideal_components(std2, 4)
 
 
 # -- contraction against u: oracle and N = 4 -----------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckelab import ncalgebra
 from heckelab.hecke import builtin_permutation, builtin_standard
 from heckelab.ncalgebra import (
     DegreeError,
@@ -170,8 +171,8 @@ def test_component_rank_dim3_degree2():
 
 def test_gradedness(rel2):
     comp = ideal_component(rel2, 3)
-    for m in comp.basis.pivots():
-        row = comp.basis.rows[m]
+    for m in comp.pivots():
+        row = comp.rows[m]
         assert row.is_homogeneous() and row.degree() == 3
 
 
@@ -210,9 +211,13 @@ def test_degree_below_two_rejected(rel2):
         ideal_component(rel2, 1)
 
 
-def test_resource_cap(rel2):
+def test_resource_cap(rel2, monkeypatch):
+    # the cap is read when a slice is asked for: 64 degree-3 monomials
+    monkeypatch.setattr(ncalgebra, "DEFAULT_COLUMN_CAP", 50)
     with pytest.raises(ResourceError):
-        ideal_component(rel2, 3, column_cap=50)
+        ideal_component(rel2, 3)
+    monkeypatch.setattr(ncalgebra, "DEFAULT_COLUMN_CAP", 64)
+    assert ideal_component(rel2, 3).degree == 3
 
 
 def test_classical_membership_oracle(perm2):
