@@ -37,8 +37,8 @@ from .hecke import (
     identity_suite,
     validate,
 )
-from .invariants import (central_set, char_poly, ideal_components, verify_cayley_hamilton,
-                         verify_char_poly, verify_newton, w_column)
+from .invariants import (central_set, char_columns, char_poly, ideal_components,
+                         verify_cayley_hamilton, verify_char_poly, verify_newton)
 from .ncalgebra import ResourceError
 from .qscalar import (
     DEFAULT_PRIME,
@@ -495,8 +495,7 @@ def _structure_data(h):
 
 
 def _charpoly_data(h):
-    u, v = h.levi_civita()
-    cp = char_poly(h, v, w_column(h, u))
+    cp = char_poly(h, h.levi_civita()[1], char_columns(h))
     return {"delta": [str(co) for co in cp.coeffs]}
 
 

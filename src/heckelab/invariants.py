@@ -173,6 +173,14 @@ def w_column(h, u, l=None):
     return cols
 
 
+def char_columns(h):
+    """w(x) for h's own u and L, kept on h: as verify_char_poly built it,
+    else built now.  A w_column run with a replacement l is never kept."""
+    if h._w_cols is None:
+        h._w_cols = w_column(h, h.levi_civita()[0])
+    return h._w_cols
+
+
 def char_poly(h, v, cols):
     """Delta(x) = v w(x) as x-graded coefficients, from the columns that
     w_column returns; the top coefficient collapses to the exact constant
@@ -299,7 +307,7 @@ def verify_char_poly(h, components, sets=None):
     u, v = h.levi_civita()
     if sets is None:
         sets = central_set(h)
-    cols = w_column(h, u)
+    cols = h._w_cols = w_column(h, u)
     cp = char_poly(h, v, cols)
     out = []
     for i in range(p + 1):

@@ -188,6 +188,27 @@ def test_single_point_data_reuses_the_checked_symmetry(monkeypatch, command,
     assert len(builds) == 1
 
 
+def test_single_point_charpoly_builds_w_once(monkeypatch):
+    # verify_char_poly keeps w(x) on the symmetry, and the report's delta
+    # is read from there instead of building w(x) again
+    import heckelab.cli as cli
+    import heckelab.invariants as inv
+
+    calls = []
+    real = inv.w_column
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # count w_column under every name the program could call it by
+    monkeypatch.setattr(inv, "w_column", counted)
+    monkeypatch.setattr(cli, "w_column", counted, raising=False)
+    report = run(RunConfig("charpoly", builtin="std:2", field="symbolic"))
+    assert report.data["delta"]
+    assert len(calls) == 1
+
+
 def test_multi_point_run_builds_once_per_point(monkeypatch):
     builds = _count_builds(monkeypatch)
     report = run(RunConfig("newton", builtin="std:3"))

@@ -7,6 +7,7 @@ locked against drift.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,10 +18,12 @@ from heckelab.hecke import (
     NotClosedError,
     NotEvenError,
     YBEViolationError,
+    _first_failing_unit,
     builtin_permutation,
     builtin_standard,
     flip_operator,
     identity_suite,
+    insertion_commutes_fails,
     validate,
 )
 from heckelab.qscalar import (
@@ -306,23 +309,134 @@ def test_identity_suite_classical():
 
 
 def test_identity_suite_catches_dropped_symmetrize_term(std2, monkeypatch):
-    # symmetrize without its last term R_(k-1)...R_1 X_1 R_1...R_(k-1):
+    # every insertion without its last term R_(k-1)...R_1 X_1 R_1...R_(k-1):
     # both insertion identities must fail on a named matrix unit
-    def short(self, x, k):
-        term = acc = x.embed(1, k)
-        for i in range(1, k - 1):
-            ri = self.r_slot(i, k)
-            term = ri @ term @ ri
-            acc = acc + term
-        return acc
+    real = HeckeSymmetry.insertion_terms
 
-    monkeypatch.setattr(HeckeSymmetry, "symmetrize", short)
+    def short(self, x, k):
+        terms = real(self, x, k)
+        return terms[:-1] + [TensorOperator.zero(self.dim, k)]
+
+    monkeypatch.setattr(HeckeSymmetry, "insertion_terms", short)
     checks = {c.name: c for c in identity_suite(std2)}
     for name in ("symmetrized_insertion_projects",
                  "symmetrized_insertion_commutes"):
         assert not checks[name].ok
         assert checks[name].witness.startswith("E_(")
     assert checks["conjugation_scalar_one_slot"].ok
+
+
+def test_identity_suite_catches_wrong_top_insertion_term(std3_eval, monkeypatch):
+    # only T_p, the term S_(p+1) adds to S_p o 1, is doubled: the commutes
+    # check must fail at k = p+1, and the projection (which reads S_p) holds
+    p = std3_eval.detect_rank()
+    real = HeckeSymmetry.insertion_terms
+
+    def doubled_top(self, x, k):
+        terms = real(self, x, k)
+        if k == p + 1:
+            terms[p] = terms[p].scaled(self.field.of_int(2))
+        return terms
+
+    monkeypatch.setattr(HeckeSymmetry, "insertion_terms", doubled_top)
+    checks = {c.name: c for c in identity_suite(std3_eval)}
+    wit = checks["symmetrized_insertion_commutes"].witness
+    assert not checks["symmetrized_insertion_commutes"].ok
+    assert wit.startswith("E_(") and " k=%d i=" % (p + 1) in wit
+    assert checks["symmetrized_insertion_projects"].ok
+
+
+# -- the commutation check against the all-(k, i) loop -----------------------
+
+
+def _all_pairs_commutes_fails(h, x, p):
+    # reference: S_k built from scratch at each level, every [S_k, R_i] tested
+    for k in range(2, p + 2):
+        s = x.embed(1, k)
+        term = s
+        for i in range(1, k):
+            ri = h.r_slot(i, k)
+            term = ri @ term @ ri
+            s = s + term
+        for i in range(1, k):
+            ri = h.r_slot(i, k)
+            if s @ ri != ri @ s:
+                return "k=%d i=%d" % (k, i)
+    return None
+
+
+def _unit(h, r, c):
+    return TensorOperator(h.dim, 1, {(r, c): h.field.one})
+
+
+@pytest.mark.parametrize("make, units", [
+    (lambda: builtin_standard(2, SYM), None),
+    (lambda: builtin_standard(3, make_field(FieldSpec.evaluated(Fraction(3, 2)))), None),
+    (lambda: builtin_permutation(3, make_field(FieldSpec.evaluated(1))), None),
+    (lambda: builtin_standard(4, make_field(FieldSpec.modular((1 << 61) - 1, 9001))),
+     ((0, 0), (0, 3), (2, 1), (3, 3))),
+], ids=["std2-symbolic", "std3-3/2", "perm3", "std4-modular"])
+def test_insertion_commutes_matches_all_pairs_loop(make, units):
+    h = make()
+    p = h.detect_rank()
+    for r, c in units or product(range(h.dim), repeat=2):
+        x = _unit(h, r, c)
+        assert insertion_commutes_fails(h, x, p) is None
+        assert _all_pairs_commutes_fails(h, x, p) is None
+
+
+def _one_entry_changed(h, key):
+    # a symmetry whose R differs from a validated one in a single entry;
+    # the constructor does not re-check the axioms
+    entries = dict(h.R.entries)
+    entries[key] = entries.get(key, 0 * h.field.one) + h.field.one
+    return HeckeSymmetry(TensorOperator(h.dim, 2, entries), h.field)
+
+
+def _conjugated(h, key):
+    # g R g^-1 with g = I + E_key: still Hecke, no longer braided
+    one = h.field.one
+    e = TensorOperator(h.dim, 2, {key: one})
+    eye = TensorOperator.identity(h.dim, 2, one)
+    return HeckeSymmetry((eye + e) @ h.R @ (eye - e), h.field)
+
+
+@pytest.mark.parametrize("corrupt, key, level", [
+    (_one_entry_changed, (0, 0), "k=3 i=1"),
+    (_one_entry_changed, (3, 3), "k=3 i=1"),
+    (_one_entry_changed, (8, 8), "k=3 i=1"),
+    (_one_entry_changed, (0, 1), "k=2 i=1"),
+    (_one_entry_changed, (1, 3), "k=2 i=1"),
+    (_one_entry_changed, (2, 6), "k=2 i=1"),
+    (_one_entry_changed, (8, 0), "k=2 i=1"),
+    (_conjugated, (1, 3), "k=3 i=1"),
+    (_conjugated, (5, 7), "k=4 i=2"),
+])
+def test_corrupted_r_fails_with_the_all_pairs_witness(std3_eval, corrupt, key, level):
+    bad = corrupt(std3_eval, key)
+    p = std3_eval.detect_rank()
+    new = _first_failing_unit(bad, 1, lambda x: insertion_commutes_fails(bad, x, p))
+    old = _first_failing_unit(bad, 1, lambda x: _all_pairs_commutes_fails(bad, x, p))
+    assert new == old
+    assert new is not None and new.endswith(level)
+
+
+def test_insertion_commutes_products_per_arity(std3_eval, monkeypatch):
+    # two products build each term and two per commutator, two
+    # commutators per level above k = 2: a return to checking every
+    # [S_k, R_i] or to building S_k from scratch changes these counts
+    p = std3_eval.detect_rank()
+    x = _unit(std3_eval, 0, 1)
+    counts = {}
+    real = TensorOperator.__matmul__
+
+    def counted(self, other):
+        counts[self.arity] = counts.get(self.arity, 0) + 1
+        return real(self, other)
+
+    monkeypatch.setattr(TensorOperator, "__matmul__", counted)
+    assert insertion_commutes_fails(std3_eval, x, p) is None
+    assert counts == {2: 4, 3: 6, 4: 6}
 
 
 def test_flip_operator_is_involution():
