@@ -44,6 +44,7 @@ from .qscalar import (
     DEFAULT_PRIME,
     FieldSpec,
     ScalarParseError,
+    format_scalar,
     make_field,
     parse_scalar,
     sample_modular_qs,
@@ -463,34 +464,32 @@ def _run_points(plan, fn):
 # structure/charpoly report payloads (single-point runs only)
 # ---------------------------------------------------------------------------
 
-def _format_co(t, fmt, dim, arity):
-    return {",".join(map(str, decode(k, dim, arity))): fmt(v)
+def _format_co(t):
+    return {",".join(map(str, decode(k, t.dim, t.arity))): format_scalar(v)
             for k, v in sorted(t.entries.items())}
 
 
-def _format_op(t, fmt):
+def _format_op(t):
     out = {}
     for (r, c), v in sorted(t.entries.items()):
         row = ",".join(map(str, decode(r, t.dim, t.arity)))
         col = ",".join(map(str, decode(c, t.dim, t.arity)))
-        out["%s|%s" % (row, col)] = fmt(v)
+        out["%s|%s" % (row, col)] = format_scalar(v)
     return out
 
 
 def _structure_data(h):
-    p = h.detect_rank()
     u, v = h.levi_civita()
     c = h.matrix_c()
     b = h.matrix_b()
-    fmt = h.field.format
     return {
-        "rank": p,
-        "u": _format_co(u, fmt, h.dim, p),
-        "v": _format_co(v, fmt, h.dim, p),
-        "c": _format_op(c, fmt),
-        "b": _format_op(b, fmt),
-        "trace_c": fmt(c.trace_full()),
-        "trace_b": fmt(b.trace_full()),
+        "rank": h.detect_rank(),
+        "u": _format_co(u),
+        "v": _format_co(v),
+        "c": _format_op(c),
+        "b": _format_op(b),
+        "trace_c": format_scalar(c.trace_full()),
+        "trace_b": format_scalar(b.trace_full()),
     }
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qscalar import q_number
 from .tensor import (
     NotInvertibleError,
     NotRankOneError,
@@ -127,9 +126,6 @@ class HeckeSymmetry:
         one = self.field.one
         return self.R - TensorOperator.identity(self.dim, 2, one).scaled(self.lam)
 
-    def q_number(self, k):
-        return self.field.from_qscalar(q_number(k))
-
     # -- closedness and trace weights ----------------------------------------
 
     def check_closed(self):
@@ -217,7 +213,7 @@ class HeckeSymmetry:
         return acc
 
     def _antisym_next(self, k):
-        kq = self.q_number(k)
+        kq = self.field.q_number(k)
         if not kq:
             raise FieldError("q-number %d vanishes in %s"
                              % (k, self.field.spec.describe()))
@@ -235,7 +231,7 @@ class HeckeSymmetry:
         """The same projector via the alternative published forms; used to
         cross-check the main construction."""
         assert k >= 2
-        kq = self.q_number(k)
+        kq = self.field.q_number(k)
         if variant == "right":
             prev = self.antisymmetrizer(k - 1).embed(1, k)
 
@@ -262,7 +258,7 @@ class HeckeSymmetry:
             pm = self.antisymmetrizer(m).embed(1 if top else 2, k)
             mid = pm @ self.r_slot(m if top else 1, k) @ pm
             return (pm.scaled(self.q ** m)
-                    - mid.scaled(self.q_number(m))).scaled(self.field.one / kq)
+                    - mid.scaled(self.field.q_number(m))).scaled(self.field.one / kq)
         raise ValueError("unknown variant %r" % variant)
 
     # -- rank and the Levi-Civita pair ---------------------------------------
@@ -424,44 +420,50 @@ def insertion_commutes_fails(h, x, p):
     return None
 
 
+def _first_failure(name, failures):
+    """Check that passes when the iterator of failure descriptions is
+    empty; otherwise it stops at the first one and names it."""
+    wit = next(failures, None)
+    return Check(name, wit is None, wit)
+
+
 def antisym_checks(h, p):
     """The three antisymmetrizer facts (eigenvalue, absorption, agreement
     of the alternative constructions), checked for every order up to
     p + 1 where the tower collapses."""
-    checks = []
     minus_inv_q = -(h.field.one / h.q)
 
-    # eigenvalue property of the antisymmetrizers, both sides
-    ok, wit = True, None
-    for k in range(2, p + 2):
-        pk = h.antisymmetrizer(k)
-        want = pk.scaled(minus_inv_q)
-        for i in range(1, k):
-            ri = h.r_slot(i, k)
-            if pk @ ri != want or ri @ pk != want:
-                ok, wit = False, "k=%d i=%d" % (k, i)
-    checks.append(Check("antisym_eigenvalue", ok, wit))
+    def eigenvalue_failures():
+        # eigenvalue property of the antisymmetrizers, both sides
+        for k in range(2, p + 2):
+            pk = h.antisymmetrizer(k)
+            want = pk.scaled(minus_inv_q)
+            for i in range(1, k):
+                ri = h.r_slot(i, k)
+                if pk @ ri != want or ri @ pk != want:
+                    yield "k=%d i=%d" % (k, i)
 
-    # absorption of lower antisymmetrizers in any compatible slot
-    ok, wit = True, None
-    for k in range(2, p + 2):
-        pk = h.antisymmetrizer(k)
-        for i in range(2, k + 1):
-            for j in range(1, k - i + 2):
-                pij = h.antisymmetrizer(i).embed(j, k)
-                if pk @ pij != pk or pij @ pk != pk:
-                    ok, wit = False, "k=%d i=%d j=%d" % (k, i, j)
-    checks.append(Check("antisym_absorption", ok, wit))
+    def absorption_failures():
+        # absorption of lower antisymmetrizers in any compatible slot
+        for k in range(2, p + 2):
+            pk = h.antisymmetrizer(k)
+            for i in range(2, k + 1):
+                for j in range(1, k - i + 2):
+                    pij = h.antisymmetrizer(i).embed(j, k)
+                    if pk @ pij != pk or pij @ pk != pk:
+                        yield "k=%d i=%d j=%d" % (k, i, j)
 
-    # all alternative constructions agree
-    ok, wit = True, None
-    for k in range(2, p + 2):
-        pk = h.antisymmetrizer(k)
-        for variant in ("right", "slot2", "rec_top", "rec_bottom"):
-            if h.antisymmetrizer_variant(k, variant) != pk:
-                ok, wit = False, "k=%d variant=%s" % (k, variant)
-    checks.append(Check("antisym_variants_agree", ok, wit))
-    return checks
+    def variant_failures():
+        # all alternative constructions agree
+        for k in range(2, p + 2):
+            pk = h.antisymmetrizer(k)
+            for variant in ("right", "slot2", "rec_top", "rec_bottom"):
+                if h.antisymmetrizer_variant(k, variant) != pk:
+                    yield "k=%d variant=%s" % (k, variant)
+
+    return [_first_failure("antisym_eigenvalue", eigenvalue_failures()),
+            _first_failure("antisym_absorption", absorption_failures()),
+            _first_failure("antisym_variants_agree", variant_failures())]
 
 
 def identity_suite(h):
@@ -489,16 +491,17 @@ def identity_suite(h):
     checks.extend(antisym_checks(h, p))
 
     # Levi-Civita eigenvalue relations
-    ok, wit = True, None
-    for i in range(1, p):
-        ri = h.r_slot(i, p)
-        if ri @ u != u.scaled(minus_inv_q) or v @ ri != v.scaled(minus_inv_q):
-            ok, wit = False, "i=%d" % i
-    checks.append(Check("levi_civita_eigenvalue", ok, wit))
+    def levi_civita_failures():
+        for i in range(1, p):
+            ri = h.r_slot(i, p)
+            if ri @ u != u.scaled(minus_inv_q) or v @ ri != v.scaled(minus_inv_q):
+                yield "i=%d" % i
+
+    checks.append(_first_failure("levi_civita_eigenvalue", levi_civita_failures()))
     checks.append(_eq_check("levi_civita_pairing", v @ u, f.one))
 
     # trace weights from the Levi-Civita pair
-    w = f.from_qscalar(q_number(p)) / h.q ** p
+    w = f.q_number(p) / h.q ** p
     checks.append(_eq_check("weights_from_levi_civita_c",
                             c, contract_keep_first(u, v).scaled(w)))
     checks.append(_eq_check("weights_from_levi_civita_b",

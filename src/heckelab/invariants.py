@@ -138,7 +138,7 @@ def newton_defect(h, sets, i):
     if not 1 <= i <= sets.p:
         raise ValueError("newton index out of range")
     f = h.field
-    acc = f.from_qscalar(q_number(i)) / h.q ** (i - 1) * sets.sigma[i]
+    acc = f.q_number(i) / h.q ** (i - 1) * sets.sigma[i]
     sign = 1
     for j in range(1, i):
         sign = -sign

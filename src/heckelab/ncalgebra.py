@@ -11,7 +11,10 @@ The relations R L1 R L1 - L1 R L1 R are homogeneous quadratic, so the
 two-sided ideal they generate is graded and its degree-d slice is an
 ordinary finite-dimensional subspace of the degree-d monomial span.
 Identities "in the quotient algebra" are decided exactly by reducing the
-defect polynomial against an echelon basis of that slice.
+defect polynomial against a row-echelon basis of that slice.  The lead
+monomials of such a basis are those of the slice itself, and a remainder
+free of them is unique, so rank, verdict and remainder do not depend on
+which rows were inserted or in what order.
 """
 
 from __future__ import annotations
@@ -212,12 +215,12 @@ def re_relations(h):
 
 
 class EchelonBasis:
-    """Incrementally maintained reduced row-echelon span of polynomials
-    of one fixed degree.
+    """Row-echelon span of polynomials of one fixed degree.
 
-    Rows are keyed by their lead monomial, normalized to lead coefficient
-    one, and kept fully back-reduced (no row contains another row's lead).
-    ``degree`` is the slice degree that ``is_member`` checks against.
+    Each row is keyed by its lead, its deglex-smallest monomial, and
+    scaled to lead coefficient one; leads are distinct.  Rows are not
+    back-reduced.  ``degree`` is the slice degree that ``is_member``
+    checks against.
     """
 
     def __init__(self, degree=None):
@@ -232,17 +235,18 @@ class EchelonBasis:
         return len(self.rows)
 
     def reduce(self, f):
-        """Fully reduce f; the result has no pivot monomials left."""
+        """Fully reduce f; the result has no pivot monomials left.
+
+        Eliminates the smallest pivot monomial present at each step.  A
+        row's other monomials all exceed its lead, so each pivot is met
+        at most once."""
         rows = self.rows
         while True:
-            hit = None
-            for m in f.terms:
-                if m in rows:
-                    hit = m
-                    break
-            if hit is None:
+            hits = [m for m in f.terms if m in rows]
+            if not hits:
                 return f
-            f = f - rows[hit] * f.terms[hit]
+            m = min(hits, key=_mono_key)
+            f = f - rows[m] * f.terms[m]
 
     def insert(self, f):
         """Add f to the span; returns True if the rank grew."""
@@ -250,12 +254,7 @@ class EchelonBasis:
         if not r:
             return False
         m, c = r.lead()
-        r = r * c ** -1
-        for lead, row in list(self.rows.items()):
-            cm = row.terms.get(m)
-            if cm is not None:
-                self.rows[lead] = row - r * cm
-        self.rows[m] = r
+        self.rows[m] = r * c ** -1
         return True
 
     def pivots(self):

@@ -876,9 +876,6 @@ class SymbolicField(_FieldBase):
     def from_qscalar(self, x):
         return x
 
-    def format(self, x):
-        return format_scalar(x)
-
 
 class RationalField(_FieldBase):
     """Q with q pinned to a nonzero rational: scalars are Fractions."""
@@ -896,9 +893,6 @@ class RationalField(_FieldBase):
 
     def from_qscalar(self, x):
         return x.evaluate(self.q)
-
-    def format(self, x):
-        return _format_rat(Fraction(x))
 
 
 class ModularField(_FieldBase):
@@ -919,9 +913,6 @@ class ModularField(_FieldBase):
 
     def from_qscalar(self, x):
         return ModInt(x.evaluate_mod(self.spec.q, self.prime), self.prime)
-
-    def format(self, x):
-        return str(x.value if isinstance(x, ModInt) else x)
 
 
 def make_field(spec):

@@ -17,8 +17,6 @@ accepts as an absorbing operand.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class ShapeError(ValueError):
     """Operands have incompatible dim/arity."""
@@ -263,29 +261,19 @@ class TensorOperator:
         return rows
 
     def invert(self):
-        """Exact inverse by Gaussian elimination.
+        """Exact inverse by Gauss-Jordan elimination.
 
-        Pivots prefer small entries (bit-size heuristic for concrete
-        numbers, first nonzero for symbolic ones).
+        Each column pivots on its first nonzero entry: the inverse is
+        unique, so the choice of pivot does not change the result.
         """
         n = self.size
         a = self.to_dense()
         inv = [[0] * n for _ in range(n)]
-        one = _one_like(next(iter(self.entries.values()))) if self.entries else 1
+        one = next(iter(self.entries.values())) ** 0 if self.entries else 1
         for i in range(n):
             inv[i][i] = one
         for col in range(n):
-            pivot = None
-            best = None
-            for row in range(col, n):
-                v = a[row][col]
-                if v:
-                    cost = _pivot_cost(v)
-                    if cost == 0:
-                        pivot = row
-                        break
-                    if best is None or cost < best:
-                        best, pivot = cost, row
+            pivot = next((row for row in range(col, n) if a[row][col]), None)
             if pivot is None:
                 raise NotInvertibleError("matrix is singular")
             if pivot != col:
@@ -321,11 +309,11 @@ class TensorOperator:
         if self @ self != self:
             raise NotIdempotentError("operator is not idempotent")
         tr = self.trace_full()
-        r = _as_integer(tr, self.size)
-        if r is None:
-            raise NotIdempotentError("idempotent trace %r is not an integer"
-                                     % (tr,))
-        return r
+        for r in range(self.size + 1):
+            if tr == r:
+                return r
+        raise NotIdempotentError("idempotent trace %r is not an integer"
+                                 % (tr,))
 
     def rank1_factor(self):
         """Split a rank-1 idempotent A into (u, v) with A = u v and v u = 1.
@@ -366,46 +354,6 @@ class TensorOperator:
     def __repr__(self):
         return ("TensorOperator(dim=%d, arity=%d, nnz=%d)"
                 % (self.dim, self.arity, len(self.entries)))
-
-
-def _one_like(v):
-    if isinstance(v, Fraction):
-        return Fraction(1)
-    try:
-        from .qscalar import ModInt, Q_ONE, QScalar
-        if isinstance(v, QScalar):
-            return Q_ONE
-        if isinstance(v, ModInt):
-            return ModInt(1, v.prime)
-    except ImportError:  # pragma: no cover
-        pass
-    return 1
-
-
-def _pivot_cost(v):
-    """Smaller is better; 0 short-circuits the pivot search."""
-    if isinstance(v, Fraction):
-        if v == 1:
-            return 0
-        return v.numerator.bit_length() + v.denominator.bit_length()
-    return 0
-
-
-def _as_integer(x, bound):
-    """Recognise x as a small nonnegative integer, else None."""
-    from .qscalar import ModInt, QScalar
-    if isinstance(x, int):
-        return x if 0 <= x <= bound else None
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 and 0 <= x <= bound else None
-    if isinstance(x, QScalar):
-        c = x.constant_value()
-        if c is not None and c.denominator == 1 and 0 <= c <= bound:
-            return int(c)
-        return None
-    if isinstance(x, ModInt):
-        return x.value if x.value <= bound else None
-    return None
 
 
 # ---------------------------------------------------------------------------

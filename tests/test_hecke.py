@@ -19,6 +19,7 @@ from heckelab.hecke import (
     NotEvenError,
     YBEViolationError,
     _first_failing_unit,
+    antisym_checks,
     builtin_permutation,
     builtin_standard,
     flip_operator,
@@ -33,7 +34,7 @@ from heckelab.qscalar import (
     parse_scalar,
     q_number,
 )
-from heckelab.tensor import TensorOperator
+from heckelab.tensor import CoTensor, TensorOperator
 
 SYM = make_field(FieldSpec.symbolic())
 Q = SYM.q
@@ -218,6 +219,23 @@ def test_antisymmetrizer_eigen_property(std3):
             assert pk @ ri == pk.scaled(minus_inv_q)
 
 
+def test_antisym_checks_name_the_first_failure(std3_eval, monkeypatch):
+    # slot2 doubled at k = 2 and at k = 3: the witness is the first case
+    real = HeckeSymmetry.antisymmetrizer_variant
+
+    def doubled_slot2(self, k, variant):
+        got = real(self, k, variant)
+        if variant == "slot2" and k in (2, 3):
+            return got.scaled(self.field.of_int(2))
+        return got
+
+    monkeypatch.setattr(HeckeSymmetry, "antisymmetrizer_variant", doubled_slot2)
+    checks = {c.name: c for c in antisym_checks(std3_eval, std3_eval.detect_rank())}
+    assert not checks["antisym_variants_agree"].ok
+    assert checks["antisym_variants_agree"].witness == "k=2 variant=slot2"
+    assert checks["antisym_eigenvalue"].ok and checks["antisym_absorption"].ok
+
+
 def test_unknown_variant_rejected(std2):
     with pytest.raises(ValueError):
         std2.antisymmetrizer_variant(2, "sideways")
@@ -255,6 +273,21 @@ def test_levi_civita_eigen_dim3(std3):
         assert ri @ u == u.scaled(minus_inv_q)
         assert v @ ri == v.scaled(minus_inv_q)
     assert v @ u == SYM.one
+
+
+def test_levi_civita_eigenvalue_names_the_first_failure(monkeypatch):
+    # u + e_(1,1,1) breaks the eigenvalue relation at i = 1 and at i = 2
+    h = builtin_standard(3, make_field(FieldSpec.evaluated(Fraction(3, 2))))
+    real = HeckeSymmetry.levi_civita
+
+    def shifted(self):
+        u, v = real(self)
+        return u + CoTensor.from_multi(3, 3, {(1, 1, 1): self.field.one}), v
+
+    monkeypatch.setattr(HeckeSymmetry, "levi_civita", shifted)
+    checks = {c.name: c for c in identity_suite(h)}
+    assert not checks["levi_civita_eigenvalue"].ok
+    assert checks["levi_civita_eigenvalue"].witness == "i=1"
 
 
 def test_top_antisymmetrizer_factors(std3):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckelab import ncalgebra
-from heckelab.hecke import builtin_permutation, builtin_standard
+from heckelab.hecke import builtin_permutation, builtin_standard, validate
 from heckelab.ncalgebra import (
     DegreeError,
     EchelonBasis,
@@ -28,6 +28,7 @@ from heckelab.ncalgebra import (
     re_relations,
 )
 from heckelab.qscalar import FieldSpec, make_field
+from heckelab.tensor import TensorOperator
 
 SYM = make_field(FieldSpec.symbolic())
 
@@ -285,8 +286,42 @@ def test_echelon_idempotent_inserts(rel2):
     for r in rel2:
         assert not b.insert(r)
     assert b.rank == rank
-    # rows are fully back-reduced: no row contains another pivot
-    pivots = set(b.pivots())
+    # row-echelon: each row's lead is its smallest monomial, coefficient 1
     for lead, row in b.rows.items():
-        assert set(row.terms) & pivots == {lead}
-        assert row.terms[lead] == 1
+        assert row.lead() == (lead, 1)
+
+
+def _gauged_std3(f):
+    # (g o g) R (g o g)^-1 with g = 1 + 2 E_12, the matrix that
+    # perfbench's gauge file draws for seed 7
+    g = TensorOperator.from_multi(
+        3, 1, {((i,), (j,)): f.of_int(int(i == j) + 2 * ((i, j) == (1, 2)))
+               for i in (1, 2, 3) for j in (1, 2, 3)})
+    gg = g.embed(1, 2) @ g.embed(2, 2)
+    return validate(gg @ builtin_standard(3, f).R @ gg.invert(), f)
+
+
+@pytest.mark.parametrize("build", [lambda f: builtin_standard(3, f), _gauged_std3],
+                         ids=["std3", "gauge7"])
+def test_echelon_independent_of_insert_order(build):
+    f = make_field(FieldSpec.evaluated(Fraction(3, 2)))
+    rels = re_relations(build(f))
+    L = NCPoly.generator
+    outsiders = [L(1, 1) * L(1, 1), L(3, 3) * L(1, 1),
+                 L(1, 2) * L(2, 1) + L(2, 3) * L(3, 2), L(3, 1) * L(1, 3)]
+
+    def summary(order):
+        b = EchelonBasis(2)
+        for r in order:
+            b.insert(r)
+        rests = [is_member(x, b) for x in outsiders]
+        assert not any(ok for ok, _ in rests)
+        return b.rank, b.pivots(), [str(rest) for _, rest in rests]
+
+    want = summary(rels)
+    assert want[0] == expected_rank(3, 2) == 36
+    rng = Random(23)
+    for _ in range(3):
+        order = list(rels)
+        rng.shuffle(order)
+        assert summary(order) == want

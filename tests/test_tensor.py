@@ -255,6 +255,26 @@ def test_invert_symbolic():
     assert a @ inv == one and inv @ a == one
 
 
+def test_invert_modular():
+    from heckelab.qscalar import ModInt
+    m = {(0, 0): 0, (0, 1): 3, (1, 0): 5, (1, 1): 2}
+    a = TensorOperator(2, 1, {k: ModInt(v, 7) for k, v in m.items() if v})
+    inv = a.invert()
+    one = TensorOperator.identity(2, 1, ModInt(1, 7))
+    assert a @ inv == one and inv @ a == one
+    assert all(isinstance(v, ModInt) for v in inv.entries.values())
+
+
+def test_invert_first_pivot_not_one():
+    # the first nonzero entry of column 1 is 3/2, so the first pivot divides
+    a = TensorOperator(2, 1, {(0, 0): Fraction(3, 2), (0, 1): Fraction(5, 7),
+                              (1, 0): Fraction(1), (1, 1): Fraction(-2)})
+    inv = a.invert()
+    one = TensorOperator.identity(2, 1, Fraction(1))
+    assert a @ inv == one and inv @ a == one
+    assert inv.entry((1,), (1,)) == Fraction(-2) / (Fraction(-3) - Fraction(5, 7))
+
+
 # --- idempotents ----------------------------------------------------------------
 
 def test_idempotent_rank_projector():
@@ -262,6 +282,18 @@ def test_idempotent_rank_projector():
     p = TensorOperator(2, 1, {(0, 0): half, (0, 1): half,
                               (1, 0): half, (1, 1): half})
     assert p.idempotent_rank() == 1
+
+
+def test_idempotent_rank_modular_and_symbolic():
+    from heckelab.qscalar import Q_ONE, Q_VAR, ModInt
+    # the rank-1 projector [[1, q], [0, 0]], alone and tensored with 1 on C^2
+    sym = TensorOperator(2, 1, {(0, 0): Q_ONE, (0, 1): Q_VAR})
+    assert sym.idempotent_rank() == 1
+    assert sym.embed(1, 2).idempotent_rank() == 2
+    half = ModInt(4, 7)  # 1/2 mod 7
+    mod = TensorOperator(2, 1, {k: half for k in ((0, 0), (0, 1), (1, 0), (1, 1))})
+    assert mod.idempotent_rank() == 1
+    assert TensorOperator.identity(2, 2, ModInt(1, 7)).idempotent_rank() == 4
 
 
 def test_idempotent_rank_rejects_non_idempotent():
