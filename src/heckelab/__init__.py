@@ -13,7 +13,6 @@ from .qscalar import (  # noqa: F401
     RationalField,
     ModularField,
     make_field,
-    specialize,
     q_number,
     q_factorial,
     q_binomial,
@@ -30,8 +29,6 @@ from .tensor import (  # noqa: F401
     CoTensor,
     ContraTensor,
     outer,
-    contract_keep_first,
-    contract_keep_last,
     ShapeError,
     NotInvertibleError,
 )

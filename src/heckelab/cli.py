@@ -27,6 +27,7 @@ from . import __version__
 from .hecke import (
     DEFAULT_RANK_BOUND,
     Check,
+    FieldError,
     HeckeError,
     HeckeViolationError,
     NotClosedError,
@@ -270,7 +271,7 @@ def _run_validate(src, spec, cfg):
 def _rank_or_check(h, cfg):
     try:
         return h.detect_rank(cfg.rank_bound), None
-    except HeckeError as e:
+    except (HeckeError, FieldError) as e:
         return None, Check("rank_detected", False, str(e))
 
 

@@ -30,9 +30,8 @@ from .tensor import (
     NotInvertibleError,
     NotRankOneError,
     TensorOperator,
-    contract_keep_first,
-    contract_keep_last,
     decode,
+    outer,
 )
 
 DEFAULT_RANK_BOUND = 8
@@ -378,11 +377,8 @@ def _eq_check(name, lhs, rhs):
     if lhs == rhs:
         return Check(name, True)
     if isinstance(lhs, TensorOperator):
-        diff = lhs - rhs
-        key = min(diff.entries)
-        wit = "first difference at %s: %s" % (
-            (decode(key[0], lhs.dim, lhs.arity), decode(key[1], lhs.dim, lhs.arity)),
-            diff.entries[key])
+        wit = "first difference at %s: %s" % _first_violation(
+            lhs - rhs, lhs.dim, lhs.arity)
     else:
         wit = "lhs %s != rhs %s" % (lhs, rhs)
     return Check(name, False, wit)
@@ -502,10 +498,11 @@ def identity_suite(h):
 
     # trace weights from the Levi-Civita pair
     w = f.q_number(p) / h.q ** p
+    uv = outer(u, v)
     checks.append(_eq_check("weights_from_levi_civita_c",
-                            c, contract_keep_first(u, v).scaled(w)))
+                            c, uv.trace_slots(range(2, p + 1)).scaled(w)))
     checks.append(_eq_check("weights_from_levi_civita_b",
-                            b, contract_keep_last(u, v).scaled(w)))
+                            b, uv.trace_slots(range(1, p)).scaled(w)))
 
     # trace normalisations
     checks.append(_eq_check("trace_weight_total_c", c.trace_full(), w))

@@ -12,6 +12,13 @@ among them are statements in the quotient by the graded relation ideal,
 so every verifier here reduces a defect polynomial to an exact ideal
 membership (degrees below 2 have empty ideal slices: membership there
 means literal vanishing).
+
+Each object has one construction.  sigma(i) and w(x) share one fold:
+R_{i-1}, ..., R_1 (R_{p-1}, ..., R_1 for w) are applied to a column
+over V^p, then L_1, so neither builds an operator with noncommutative
+entries on V^p.  L^i is one running product, read only by s(i); the
+Cayley-Hamilton defect is taken by Horner's rule and forms no power of
+L.
 """
 
 from __future__ import annotations
@@ -30,20 +37,6 @@ from .ncalgebra import (
 )
 from .qscalar import QScalar, q_binomial, q_number
 from .tensor import TensorOperator
-
-
-class LPowers:
-    """Cache of powers of the generator matrix; L^0 is the identity with
-    unit coefficients, L^k entries are homogeneous of degree k."""
-
-    def __init__(self, n, one=1):
-        self.n = n
-        self._pow = [TensorOperator.identity(n, 1, one), generator_matrix(n)]
-
-    def __getitem__(self, k):
-        while len(self._pow) <= k:
-            self._pow.append(self._pow[-1] @ self._pow[1])
-        return self._pow[k]
 
 
 @dataclass
@@ -85,33 +78,33 @@ def alpha(i, p):
     return closed
 
 
-def power_sum(h, lp, i):
-    """s(i) = q Tr_q L^i, homogeneous of degree i."""
+def power_sum(h, li, i):
+    """s(i) = q Tr_q L^i from the power li = L^i, homogeneous of degree i."""
     assert i >= 1
-    out = h.q * h.quantum_trace(lp[i])
+    out = h.q * h.quantum_trace(li)
     assert out.is_homogeneous() and out.degree() == i
     return out
 
 
-def _staircase(h, i, total):
-    """L_1 R_1 ... R_{i-1} acting on V^total with NC entries."""
-    op = generator_matrix(h.dim).embed(1, total)
-    for j in range(1, i):
-        op = op @ h.r_slot(j, total)
-    return op
+def _r_chain(h, col, i):
+    """R_1 ... R_(i-1) applied to a column over V^p, R_(i-1) first."""
+    for j in reversed(range(1, i)):
+        col = h.r_slot(j, col.arity) @ col
+    return col
 
 
 def sigma(h, u, v, i):
     """sigma(i) = alpha_i * v (L_1 R_1 ... R_{i-1})^i u on the rank-p
-    tensor space, homogeneous of degree i.  The staircase is applied to
-    u i times and paired with v last, so no power of it is formed."""
+    tensor space, homogeneous of degree i.  R_{i-1}, ..., R_1 and then
+    L_1 are applied to u, i times, and the result is paired with v last,
+    so neither the staircase nor a power of it is formed."""
     p = h.detect_rank()
     if not 1 <= i <= p:
         raise ValueError("sigma index out of range")
-    step = _staircase(h, i, p)
+    l1 = generator_matrix(h.dim).embed(1, p)
     col = u
     for _ in range(i):
-        col = step @ col
+        col = l1 @ _r_chain(h, col, i)
     val = v @ col
     if not isinstance(val, NCPoly):
         val = NCPoly.const(val)
@@ -121,12 +114,19 @@ def sigma(h, u, v, i):
 
 
 def central_set(h):
+    """s(i) and sigma(i) for i = 1..p; the powers L^i are one running
+    product."""
     p = h.detect_rank()
     u, v = h.levi_civita()
-    lp = LPowers(h.dim, h.field.one)
+    l = generator_matrix(h.dim)
+    li, s = l, {}
+    for i in range(1, p + 1):
+        s[i] = power_sum(h, li, i)
+        if i < p:
+            li = li @ l
     return CentralSet(
         p=p,
-        s={i: power_sum(h, lp, i) for i in range(1, p + 1)},
+        s=s,
         sigma={i: sigma(h, u, v, i) for i in range(1, p + 1)},
         alpha={i: alpha(i, p) for i in range(1, p + 1)},
     )
@@ -162,11 +162,7 @@ def w_column(h, u, l=None):
     cols = [u]
     for i in reversed(range(p)):
         ci = h.q ** (2 * i)
-        moved = []
-        for col in cols:
-            for j in reversed(range(1, p)):
-                col = h.r_slot(j, p) @ col
-            moved.append(col)
+        moved = [_r_chain(h, col, p) for col in cols]
         cols = [l1 @ col for col in moved] + [moved[-1].scaled(-ci)]
         for k in range(1, len(moved)):
             cols[k] = cols[k] + moved[k - 1].scaled(-ci)
@@ -201,14 +197,15 @@ def char_poly(h, v, cols):
 
 def cayley_hamilton_defect(h, sets):
     """Entries of sum_{i=0}^{p} (-L)^i sigma(p-i), sigma multiplying from
-    the right and sigma(0) = 1; each entry homogeneous of degree p."""
+    the right and sigma(0) = 1, each homogeneous of degree p.  Taken by
+    Horner's rule, sigma(p) 1 - L (sigma(p-1) 1 - L (... - L 1)), so L's
+    entries land left of sigma's and no power of L is formed."""
     p = sets.p
-    lp = LPowers(h.dim, h.field.one)
+    l = generator_matrix(h.dim)
     acc = TensorOperator.zero(h.dim, 1)
-    for i in range(p + 1):
-        sig = sets.sigma[p - i] if i < p else NCPoly.const(h.field.one)
-        term = lp[i].map_entries(lambda e: e * sig)
-        acc = acc + (term if i % 2 == 0 else -term)
+    for k in range(p + 1):
+        sig = sets.sigma[k] if k else NCPoly.const(h.field.one)
+        acc = TensorOperator.identity(h.dim, 1, sig) - l @ acc
     for val in acc.entries.values():
         assert val.is_homogeneous() and val.degree() == p
     return acc

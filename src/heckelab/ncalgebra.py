@@ -19,6 +19,8 @@ which rows were inserted or in what order.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .qscalar import format_scalar
 from .tensor import TensorOperator
 
@@ -254,7 +256,8 @@ class EchelonBasis:
         if not r:
             return False
         m, c = r.lead()
-        self.rows[m] = r * c ** -1
+        # Fraction(1) / c keeps an int lead exact, where c ** -1 is a float
+        self.rows[m] = r * (Fraction(1) / c)
         return True
 
     def pivots(self):

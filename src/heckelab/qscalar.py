@@ -842,16 +842,6 @@ class FieldSpec:
         return "GF(%d) at q = %d" % (self.prime, self.q)
 
 
-def specialize(x, spec):
-    """Map a symbolic QScalar into the field named by spec."""
-    assert isinstance(x, QScalar)
-    if spec.mode == "symbolic":
-        return x
-    if spec.mode == "evaluated":
-        return x.evaluate(spec.q)
-    return ModInt(x.evaluate_mod(spec.q, spec.prime), spec.prime)
-
-
 class _FieldBase:
     def of_int(self, n):
         return self.of_rat(Fraction(n))

@@ -13,6 +13,10 @@ Entries are any ring elements supporting +, -, * and truth-testing
 that genuinely divide (invert, rank1_factor) need field entries.
 Empty sums come back as the plain int 0, which every scalar kind here
 accepts as an absorbing operand.
+
+Contractions have one construction each: a column and a row pair by
+``@``, and a partial contraction of u against v is the partial trace
+``outer(u, v).trace_slots(slots)``.
 """
 
 from __future__ import annotations
@@ -343,14 +347,6 @@ class TensorOperator:
             raise NotRankOneError("operator is not rank one")
         return u, v
 
-    def map_entries(self, fn):
-        d = {}
-        for k, v in self.entries.items():
-            w = fn(v)
-            if w:
-                d[k] = w
-        return TensorOperator(self.dim, self.arity, d)
-
     def __repr__(self):
         return ("TensorOperator(dim=%d, arity=%d, nnz=%d)"
                 % (self.dim, self.arity, len(self.entries)))
@@ -466,36 +462,3 @@ def outer(u, v):
             if w:
                 entries[(r, c)] = w
     return TensorOperator(u.dim, u.arity, entries)
-
-
-def _contract(u, v, split):
-    """M_a^b = sum over m of u_k v^l, where split(k) = (a, m) and
-    split(l) = (b, m); arity-1 result."""
-    assert u.dim == v.dim and u.arity == v.arity
-    acc = {}
-    for ku, a in u.entries.items():
-        ra, rest = split(ku)
-        for kv, b in v.entries.items():
-            cb, rest2 = split(kv)
-            if rest != rest2:
-                continue
-            key = (ra, cb)
-            s = acc.get(key)
-            s = a * b if s is None else s + a * b
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    return TensorOperator(u.dim, 1, acc)
-
-
-def contract_keep_first(u, v):
-    """M_a^b = sum over tails m of u_(a,m) v^(b,m); arity-1 result."""
-    d = u.dim
-    return _contract(u, v, lambda k: (k % d, k // d))
-
-
-def contract_keep_last(u, v):
-    """M_a^b = sum over heads m of u_(m,a) v^(m,b); arity-1 result."""
-    top = u.dim ** (u.arity - 1)
-    return _contract(u, v, lambda k: (k // top, k % top))

@@ -84,6 +84,23 @@ def test_rank_bound_diagnostic(tmp_path):
     assert "2" in rec["witness"]
 
 
+def test_vanishing_q_number_fails_rank_detection(tmp_path):
+    # gl(1|1): std:2 with -1/q on the (2,2) diagonal has no vanishing
+    # antisymmetrizer; at q = 7 in GF(73) the 12th q-number is zero,
+    # which fails that point's rank check and lets the other points run
+    doc = json.loads(json.dumps(GOOD_FILE))
+    doc["entries"][1]["value"] = "-q^-1"
+    path = write_file(tmp_path, doc)
+    code, rep = run_json(tmp_path, ["rank", "--input", path, "--field",
+                                    "modular:73", "--rank-bound", "12"])
+    assert code == 1
+    assert rep["field"]["points"][0] == "7"
+    [rec] = rep["checks"]
+    assert rec["name"] == "rank_detected" and rec["status"] == "failed"
+    assert rec["witness"] == ("at q = 7: q-number 12 vanishes in GF(73) "
+                              "at q = 7")
+
+
 def test_sampled_default_for_dim3(tmp_path):
     code, doc = run_json(tmp_path, ["newton", "--builtin", "std:3"])
     assert code == 0

@@ -1,0 +1,33 @@
+"""Every command on the fast catalogue reproduces its checked-in report.
+
+tests/golden holds one JSON report per (source, command) pair, written by
+
+  python3 scripts/run_full_verification.py --sources std:2 std:3 perm:2 perm:3 --json-dir tests/golden
+
+and compared here without their time_ms fields.  A change meant to alter
+a report regenerates these files with that command.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from heckelab.cli import COMMANDS, RunConfig, run
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+from diff_reports import without_timings  # noqa: E402
+
+GOLDEN = ROOT / "tests" / "golden"
+SOURCES = ("std:2", "std:3", "perm:2", "perm:3")
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_report_matches_golden(source, command):
+    path = GOLDEN / ("%s_%s.json" % (source.replace(":", "-"), command))
+    want = json.loads(path.read_text())
+    got = json.loads(run(RunConfig(command, builtin=source)).to_json())
+    assert without_timings(got) == without_timings(want)

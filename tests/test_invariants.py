@@ -14,7 +14,6 @@ from heckelab import ncalgebra
 from heckelab.cli import RunConfig, run
 from heckelab.hecke import builtin_permutation, builtin_standard
 from heckelab.invariants import (
-    LPowers,
     alpha,
     cayley_hamilton_defect,
     central_set,
@@ -99,14 +98,12 @@ def test_alpha_out_of_range():
 
 
 def test_power_sum_classical_is_trace(classical2):
-    lp = LPowers(2, Fraction(1))
-    s1 = power_sum(classical2, lp, 1)
+    s1 = power_sum(classical2, generator_matrix(2), 1)
     assert s1 == NCPoly.generator(1, 1) + NCPoly.generator(2, 2)
 
 
 def test_l_power_convention():
-    lp = LPowers(2)
-    sq = lp[2]
+    sq = generator_matrix(2) @ generator_matrix(2)
     want = (NCPoly.generator(1, 1) * NCPoly.generator(1, 1)
             + NCPoly.generator(1, 2) * NCPoly.generator(2, 1))
     assert sq.entry((1,), (1,)) == want
@@ -120,8 +117,7 @@ def test_first_elements_coincide(std2, sets2):
 def test_first_elements_coincide_dim3():
     h = builtin_standard(3, make_field(FieldSpec.evaluated(Fraction(2, 5))))
     u, v = h.levi_civita()
-    lp = LPowers(3, h.field.one)
-    assert power_sum(h, lp, 1) == sigma(h, u, v, 1)
+    assert power_sum(h, generator_matrix(3), 1) == sigma(h, u, v, 1)
 
 
 def test_sigma_classical_determinant(classical2):
@@ -394,6 +390,41 @@ def test_contracted_sigma_and_w_match_operator_powers(kind, n, spec):
     for i in range(1, p + 1):
         assert sigma(h, u, v, i) == _operator_power_sigma(h, u, v, i)
     assert w_column(h, u) == _operator_product_w(h, u)
+
+
+def _explicit_power_cayley_hamilton(h, sets, drop=None):
+    """sum_i (-1)^i L^i sigma(p-i) with every power L^i formed first and
+    sigma(p-i) multiplied onto its entries from the right: the direct
+    reading of the definition, kept as an oracle.  The sigma(drop) term
+    is left out when drop is given."""
+    p = sets.p
+    l = generator_matrix(h.dim)
+    li = TensorOperator.identity(h.dim, 1, h.field.one)
+    acc = TensorOperator.zero(h.dim, 1)
+    for i in range(p + 1):
+        sig = sets.sigma[p - i] if i < p else NCPoly.const(h.field.one)
+        if p - i != drop:
+            term = TensorOperator(h.dim, 1,
+                                  {k: e * sig for k, e in li.entries.items()})
+            acc = acc + (term if i % 2 == 0 else -term)
+        li = li @ l
+    return acc
+
+
+@pytest.mark.parametrize("kind,n,spec", [
+    ("std", 2, FieldSpec.symbolic()),
+    ("std", 3, FieldSpec.evaluated(Fraction(3, 2))),
+    ("perm", 3, FieldSpec.evaluated(1)),
+    ("std", 4, FieldSpec.modular(DEFAULT_PRIME, 123456789)),
+])
+def test_cayley_hamilton_defect_matches_explicit_powers(kind, n, spec):
+    build = builtin_standard if kind == "std" else builtin_permutation
+    h = build(n, make_field(spec))
+    sets = central_set(h)
+    defect = cayley_hamilton_defect(h, sets)
+    assert defect == _explicit_power_cayley_hamilton(h, sets)
+    # negative control: the oracle without its sigma(p-1) term differs
+    assert defect != _explicit_power_cayley_hamilton(h, sets, drop=sets.p - 1)
 
 
 def _elementary(xs, i):

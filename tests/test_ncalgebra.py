@@ -291,6 +291,18 @@ def test_echelon_idempotent_inserts(rel2):
         assert row.lead() == (lead, 1)
 
 
+def test_echelon_keeps_int_coefficients_exact():
+    # an int lead coefficient is inverted exactly, not to a float
+    L = NCPoly.generator
+    b = EchelonBasis(2)
+    assert b.insert(L(1, 2) * L(1, 1) - L(1, 1) * L(1, 2))
+    [row] = b.rows.values()
+    assert not any(isinstance(c, float) for c in row.terms.values())
+    assert str(row) == "L[1,1]*L[1,2] - L[1,2]*L[1,1]"
+    assert str(b.reduce(L(1, 1) * L(1, 2) + L(2, 2) * L(1, 1))) == \
+        "L[1,2]*L[1,1] + L[2,2]*L[1,1]"
+
+
 def _gauged_std3(f):
     # (g o g) R (g o g)^-1 with g = 1 + 2 E_12, the matrix that
     # perfbench's gauge file draws for seed 7

@@ -26,7 +26,6 @@ from heckelab.qscalar import (
     q_number,
     sample_modular_qs,
     sample_rational_qs,
-    specialize,
     _poly_gcd,
 )
 
@@ -221,11 +220,11 @@ def test_specialize_pole_raises():
 
 def test_specialize_modes():
     x = q_number(3)
-    assert specialize(x, FieldSpec.symbolic()) is x
-    assert specialize(x, FieldSpec.evaluated(Fraction(2, 3))) == \
+    assert make_field(FieldSpec.symbolic()).from_qscalar(x) is x
+    assert make_field(FieldSpec.evaluated(Fraction(2, 3))).from_qscalar(x) == \
         Fraction(2, 3) ** 2 + 1 + Fraction(3, 2) ** 2
     spec = FieldSpec.modular(97, 5)
-    got = specialize(x, spec)
+    got = make_field(spec).from_qscalar(x)
     assert got == ModInt((25 + 1 + pow(25, -1, 97)) % 97, 97)
 
 

@@ -13,8 +13,6 @@ from heckelab.tensor import (
     NotRankOneError,
     ShapeError,
     TensorOperator,
-    contract_keep_first,
-    contract_keep_last,
     decode,
     encode,
     outer,
@@ -343,12 +341,12 @@ def test_vector_contraction_associativity():
 def test_contract_keep_helpers():
     u = CoTensor.from_multi(2, 2, {(1, 2): Fraction(3), (2, 1): Fraction(5)})
     v = ContraTensor.from_multi(2, 2, {(1, 2): Fraction(7), (2, 2): Fraction(1)})
-    kf = contract_keep_first(u, v)
+    kf = outer(u, v).trace_slots([2])
     # tails must match: u_(1,2) pairs with v^(1,2) and v^(2,2)
     assert kf.entry((1,), (1,)) == 21
     assert kf.entry((1,), (2,)) == 3
     assert kf.entry((2,), (1,)) == 0
-    kl = contract_keep_last(u, v)
+    kl = outer(u, v).trace_slots([1])
     # heads must match: u_(2,1) with nothing, u_(1,2) with v head 1
     assert kl.entry((2,), (2,)) == 21
     assert kl.entry((1,), (1,)) == 0
