@@ -2,12 +2,15 @@
 """Sweep every verification command over the builtin catalogue.
 
 Defaults: std:2 through std:4 plus the classical flips perm:2 and
-perm:3, each field strategy auto-selected by size.  Prints one line per
-(source, command) pair and exits nonzero if anything genuinely failed
+perm:3, each field strategy auto-selected by size.  A source without a
+colon is read as a JSON R-matrix file.  Prints one line per (source,
+command) pair and exits nonzero if anything genuinely failed
 (skips caused by resource caps do not fail the sweep).
 
   python3 scripts/run_full_verification.py
   python3 scripts/run_full_verification.py --sources std:2 perm:2 --json-dir out/
+  python3 scripts/run_full_verification.py --sources tests/gauge-s7.json \
+      --commands newton --json-dir out/
 """
 
 import argparse
@@ -22,10 +25,17 @@ from heckelab.cli import COMMANDS, ConfigError, RunConfig, run  # noqa: E402
 DEFAULT_SOURCES = ("std:2", "std:3", "std:4", "perm:2", "perm:3")
 
 
+def report_stem(source):
+    """std:3 -> std-3; a file path -> its file name without suffix."""
+    if ":" in source:
+        return source.replace(":", "-")
+    return pathlib.Path(source).stem
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sources", nargs="+", default=list(DEFAULT_SOURCES),
-                    metavar="std:N|perm:N")
+                    metavar="std:N|perm:N|FILE")
     ap.add_argument("--commands", nargs="+", default=list(COMMANDS),
                     choices=COMMANDS, metavar="command")
     ap.add_argument("--seed", type=int, default=0)
@@ -41,7 +51,10 @@ def main(argv=None):
     failures = 0
     for source in ns.sources:
         for command in ns.commands:
-            cfg = RunConfig(command, builtin=source, seed=ns.seed)
+            if ":" in source:
+                cfg = RunConfig(command, builtin=source, seed=ns.seed)
+            else:
+                cfg = RunConfig(command, input_path=source, seed=ns.seed)
             t0 = time.perf_counter()
             try:
                 report = run(cfg)
@@ -60,7 +73,7 @@ def main(argv=None):
             if not report.passed:
                 failures += 1
             if json_dir is not None:
-                name = "%s_%s.json" % (source.replace(":", "-"), command)
+                name = "%s_%s.json" % (report_stem(source), command)
                 (json_dir / name).write_text(report.to_json())
     print("sweep: %s" % ("all clear" if not failures else
                          "%d failing run(s)" % failures))

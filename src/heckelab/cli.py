@@ -307,7 +307,8 @@ def _run_structure(src, spec, cfg):
 def _membership(verify, names):
     """Runner of a command whose checks are ideal memberships:
     verify(h, components) makes the checks, and names(h, p) names them
-    when the ideal slices are refused, so each is reported skipped."""
+    when the ideal is refused at the column cap, so each is reported
+    skipped."""
     def runner(src, spec, cfg):
         h, checks = _build(src, spec)
         if h is None:

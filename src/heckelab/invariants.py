@@ -10,15 +10,16 @@ together with the characteristic column w(x) = prod (L_1 - q^{2i} x) R_1
 ... R_{p-1} applied to u, and its pairing Delta(x) = v w(x).  Identities
 among them are statements in the quotient by the graded relation ideal,
 so every verifier here reduces a defect polynomial to an exact ideal
-membership (degrees below 2 have empty ideal slices: membership there
-means literal vanishing).
+membership, by the normal form of one rewriting system per symmetry
+(degrees below 2 have empty ideal slices: membership there means
+literal vanishing).
 
 Each object has one construction.  sigma(i) and w(x) share one fold:
-R_{i-1}, ..., R_1 (R_{p-1}, ..., R_1 for w) are applied to a column
-over V^p, then L_1, so neither builds an operator with noncommutative
-entries on V^p.  L^i is one running product, read only by s(i); the
-Cayley-Hamilton defect is taken by Horner's rule and forms no power of
-L.
+R_{i-1}, ..., R_1 (R_{p-1}, ..., R_1 for w), looked up once per call,
+are applied to a column over V^p, then L_1, so neither builds an
+operator with noncommutative entries on V^p.  L^i is one running
+product, read only by s(i); the Cayley-Hamilton defect is taken by
+Horner's rule and forms no power of L.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from random import Random
 
 from .hecke import Check
 from .ncalgebra import (
+    DegreeView,
     NCPoly,
+    RewritingSystem,
+    check_column_cap,
     generator_matrix,
-    ideal_component,
     is_member,
     re_relations,
 )
@@ -86,10 +89,15 @@ def power_sum(h, li, i):
     return out
 
 
-def _r_chain(h, col, i):
-    """R_1 ... R_(i-1) applied to a column over V^p, R_(i-1) first."""
-    for j in reversed(range(1, i)):
-        col = h.r_slot(j, col.arity) @ col
+def _r_slots(h, i, p):
+    """R_(i-1), ..., R_1 on V^p, in the order _r_chain applies them."""
+    return [h.r_slot(j, p) for j in reversed(range(1, i))]
+
+
+def _r_chain(rs, col):
+    """R_1 ... R_(i-1) applied to a column, rs from _r_slots."""
+    for r in rs:
+        col = r @ col
     return col
 
 
@@ -102,9 +110,10 @@ def sigma(h, u, v, i):
     if not 1 <= i <= p:
         raise ValueError("sigma index out of range")
     l1 = generator_matrix(h.dim).embed(1, p)
+    rs = _r_slots(h, i, p)
     col = u
     for _ in range(i):
-        col = l1 @ _r_chain(h, col, i)
+        col = l1 @ _r_chain(rs, col)
     val = v @ col
     if not isinstance(val, NCPoly):
         val = NCPoly.const(val)
@@ -159,10 +168,11 @@ def w_column(h, u, l=None):
     """
     p = h.detect_rank()
     l1 = (generator_matrix(h.dim) if l is None else l).embed(1, p)
+    rs = _r_slots(h, p, p)
     cols = [u]
     for i in reversed(range(p)):
         ci = h.q ** (2 * i)
-        moved = [_r_chain(h, col, p) for col in cols]
+        moved = [_r_chain(rs, col) for col in cols]
         cols = [l1 @ col for col in moved] + [moved[-1].scaled(-ci)]
         for k in range(1, len(moved)):
             cols[k] = cols[k] + moved[k - 1].scaled(-ci)
@@ -225,14 +235,14 @@ def centrality_defects(h, sets, i):
 
 
 def ideal_components(h, max_degree):
-    """Graded ideal slices 2..max_degree for the symmetry's relations.
+    """Graded ideal views 2..max_degree for the symmetry's relations, all
+    reducing by one rewriting system completed through max_degree.
 
-    The top slice is built first: it is the largest, so a column-cap
-    refusal comes before any slice has been built."""
-    rels = re_relations(h)
-    degrees = range(2, max_degree + 1)
-    comps = {d: ideal_component(rels, d) for d in reversed(degrees)}
-    return {d: comps[d] for d in degrees}
+    The column cap on the top degree's monomial span, computed from the
+    dimension, is checked before any rule is built."""
+    check_column_cap(h.dim, max_degree)
+    system = RewritingSystem(re_relations(h), max_degree)
+    return {d: DegreeView(system, d) for d in range(2, max_degree + 1)}
 
 
 def member_at_degree(f, components):

@@ -2,19 +2,23 @@
 ideal cut out by the reflection-equation relations.
 
 Monomials are words in the N^2 generators L[i,j], stored as flat tuples
-(i1, j1, i2, j2, ...) with 1-based indices.  The monomial order used for
-echelonization is degree-lexicographic on those tuples (row-major on
-generator indices); any fixed order would do, this one gives
-reproducible pivots.
+(i1, j1, i2, j2, ...) with 1-based indices, and ordered
+degree-lexicographically on those tuples (row-major on generator
+indices).
 
 The relations R L1 R L1 - L1 R L1 R are homogeneous quadratic, so the
-two-sided ideal they generate is graded and its degree-d slice is an
-ordinary finite-dimensional subspace of the degree-d monomial span.
-Identities "in the quotient algebra" are decided exactly by reducing the
-defect polynomial against a row-echelon basis of that slice.  The lead
-monomials of such a basis are those of the slice itself, and a remainder
-free of them is unique, so rank, verdict and remainder do not depend on
-which rows were inserted or in what order.
+two-sided ideal they generate is graded.  Identities "in the quotient
+algebra" are decided by a rewriting system (Bergman's diamond lemma):
+monic rules, each led by its deglex-largest word, completed by
+S-polynomials of overlapping leads up to the degree a check needs.
+Through that degree the leads are a Groebner basis, so a polynomial is
+in the ideal exactly when its normal form is zero, and the normal form
+does not depend on which rule is applied first.
+
+EchelonBasis and ideal_component keep the direct construction: a
+row-echelon basis of one degree-d slice, each row led by its smallest
+monomial, whose pivot-free remainder depends only on the slice.  It is
+the oracle the rewriting system is tested against.
 """
 
 from __future__ import annotations
@@ -33,6 +37,16 @@ class DegreeError(ValueError):
 
 class ResourceError(RuntimeError):
     """Monomial space larger than DEFAULT_COLUMN_CAP."""
+
+
+def check_column_cap(n, d):
+    """Refuse a degree-d ideal over n^2 generators whose monomial span is
+    over DEFAULT_COLUMN_CAP, read at call time."""
+    columns = (n * n) ** d
+    if columns > DEFAULT_COLUMN_CAP:
+        raise ResourceError(
+            "degree-%d slice spans %d monomials, over the cap of %d"
+            % (d, columns, DEFAULT_COLUMN_CAP))
 
 
 def _scalar(x):
@@ -286,11 +300,7 @@ def ideal_component(relations, d):
     if d < 2:
         raise DegreeError("ideal components start at degree 2")
     n = _max_generator_index(relations)
-    columns = (n * n) ** d
-    if columns > DEFAULT_COLUMN_CAP:
-        raise ResourceError(
-            "degree-%d slice spans %d monomials, over the cap of %d"
-            % (d, columns, DEFAULT_COLUMN_CAP))
+    check_column_cap(n, d)
     gens = [NCPoly.generator(i, j)
             for i in range(1, n + 1) for j in range(1, n + 1)]
     basis = EchelonBasis(2)
@@ -307,10 +317,138 @@ def ideal_component(relations, d):
     return basis
 
 
+class RewritingSystem:
+    """Rules for the ideal generated by homogeneous relations, complete
+    through degree ``top``.
+
+    ``rules`` maps each lead, the deglex-largest word of a monic rule, to
+    its replacement: the lead minus the rule.  Every rule comes from
+    ``insert``.  The relations are inserted first; then, for each degree
+    d = 3..top, the S-polynomial of every overlap of two leads (a proper
+    suffix of one equal to a proper prefix of the other) spanning d
+    letters.  Normal forms of words are memoised; a new rule of degree k
+    drops those of degree k and up.
+    """
+
+    def __init__(self, relations, top):
+        self.top = top
+        self.rules = {}
+        self._lengths = []
+        self._nf = {}
+        for r in relations:
+            self.insert(r)
+        for d in range(3, top + 1):
+            for s in self._s_polynomials(d):
+                self.insert(s)
+
+    def insert(self, f):
+        """Add f's normal form as a rule, if it is nonzero; returns True
+        if a rule was added."""
+        r = self.reduce(f)
+        if not r:
+            return False
+        lead = max(r.terms, key=_mono_key)
+        # Fraction(1) / c keeps an int lead exact, where c ** -1 is a float
+        scale = -(Fraction(1) / r.terms[lead])
+        self.rules[lead] = NCPoly({m: c * scale for m, c in r.terms.items()
+                                   if m != lead})
+        k = len(lead)
+        if k not in self._lengths:
+            self._lengths = sorted(self._lengths + [k])
+        self._nf = {w: nf for w, nf in self._nf.items() if len(w) < k}
+        return True
+
+    def _s_polynomials(self, d):
+        """p * rep(b) - rep(a) * s for every pair of leads a = p o and
+        b = o s with a nonempty overlap o and |p o s| = d."""
+        out = []
+        for a in self.rules:
+            for b in self.rules:
+                o = len(a) + len(b) - 2 * d
+                if 0 < o < min(len(a), len(b)) and a[-o:] == b[:o]:
+                    out.append(NCPoly({a[:-o]: 1}) * self.rules[b]
+                               - self.rules[a] * NCPoly({b[o:]: 1}))
+        return out
+
+    def _split(self, w):
+        """(prefix, replacement, suffix) at the leftmost lead in w, or
+        None when w is a normal word."""
+        for t in range(0, len(w), 2):
+            for k in self._lengths:
+                if t + k > len(w):
+                    break
+                rep = self.rules.get(w[t:t + k])
+                if rep is not None:
+                    return w[:t], rep, w[t + k:]
+        return None
+
+    def _word_nf(self, w):
+        """Normal form of one word.  Words still to be done wait on an
+        explicit stack, since a rewriting chain can be longer than the
+        interpreter's recursion limit."""
+        memo = self._nf
+        stack = [w]
+        while stack:
+            x = stack[-1]
+            if x in memo:
+                stack.pop()
+                continue
+            hit = self._split(x)
+            if hit is None:
+                memo[x] = NCPoly({x: 1})
+                stack.pop()
+                continue
+            a, rep, b = hit
+            parts = [(a + m + b, c) for m, c in rep.terms.items()]
+            todo = [y for y, _ in parts if y not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            memo[x] = _combine(parts, memo.__getitem__)
+            stack.pop()
+        return memo[w]
+
+    def reduce(self, f):
+        """Normal form of f: linear in its words."""
+        return _combine(f.terms.items(), self._word_nf)
+
+
+def _combine(parts, nf):
+    """The sum of c * nf(w) over (w, c) in parts."""
+    acc = {}
+    for w, c in parts:
+        for m, e in nf(w).terms.items():
+            v = c * e
+            s = acc.get(m)
+            s = v if s is None else s + v
+            if s:
+                acc[m] = s
+            else:
+                acc.pop(m, None)
+    return NCPoly(acc)
+
+
+class DegreeView:
+    """One degree of a RewritingSystem, with the ``degree`` and ``reduce``
+    that is_member reads; the system must be complete through it."""
+
+    __slots__ = ("system", "degree")
+
+    def __init__(self, system, degree):
+        assert 2 <= degree <= system.top
+        self.system = system
+        self.degree = degree
+
+    def reduce(self, f):
+        return self.system.reduce(f)
+
+
 def is_member(f, basis):
     """Membership of a homogeneous polynomial in the ideal slice of its
-    degree; returns (flag, residual) where the residual is the fully
-    reduced remainder, a certificate of non-membership when nonzero."""
+    degree, read from anything with ``degree`` and ``reduce`` (an
+    EchelonBasis or a DegreeView); returns (flag, residual) where the
+    residual is the fully reduced remainder, a certificate of
+    non-membership when nonzero."""
     if f.is_zero():
         return True, f
     if not f.is_homogeneous() or f.degree() != basis.degree:

@@ -4,7 +4,14 @@ tests/golden holds one JSON report per (source, command) pair, written by
 
   python3 scripts/run_full_verification.py --sources std:2 std:3 perm:2 perm:3 --json-dir tests/golden
 
-and compared here without their time_ms fields.  A change meant to alter
+plus the membership commands on the gauge-conjugated std:3 file, the
+one source here whose ideal needs completion rules beyond degree 2,
+
+  python3 scripts/run_full_verification.py --sources tests/gauge-s7.json \
+      --commands newton cayley-hamilton charpoly --json-dir tests/golden
+
+(run from the repository root, since the report echoes the path), and
+compared here without their time_ms fields.  A change meant to alter
 a report regenerates these files with that command.
 """
 
@@ -22,6 +29,7 @@ from diff_reports import without_timings  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden"
 SOURCES = ("std:2", "std:3", "perm:2", "perm:3")
+GAUGE = "tests/gauge-s7.json"
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -30,4 +38,13 @@ def test_report_matches_golden(source, command):
     path = GOLDEN / ("%s_%s.json" % (source.replace(":", "-"), command))
     want = json.loads(path.read_text())
     got = json.loads(run(RunConfig(command, builtin=source)).to_json())
+    assert without_timings(got) == without_timings(want)
+
+
+@pytest.mark.parametrize("command", ["newton", "cayley-hamilton", "charpoly"])
+def test_gauge_report_matches_golden(command, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    path = GOLDEN / ("gauge-s7_%s.json" % command)
+    want = json.loads(path.read_text())
+    got = json.loads(run(RunConfig(command, input_path=GAUGE)).to_json())
     assert without_timings(got) == without_timings(want)

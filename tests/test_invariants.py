@@ -33,9 +33,11 @@ from heckelab.invariants import (
     w_column,
 )
 from heckelab.ncalgebra import (
+    DegreeView,
     EchelonBasis,
     NCPoly,
     ResourceError,
+    RewritingSystem,
     generator_matrix,
     ideal_component,
     re_relations,
@@ -324,10 +326,13 @@ def test_deleted_relation_breaks_memberships(std2, sets2):
     sub = independent[1:]
     crippled = {d: ideal_component(sub, d) for d in (2, 3)}
     assert crippled[2].rank == 5
-    checks = (verify_newton(std2, sets2, crippled)
-              + verify_cayley_hamilton(std2, sets2, crippled)
-              + verify_char_poly(std2, crippled, sets2))
-    assert any(not c.ok for c in checks)
+    # the same ideal through the engine the commands use
+    system = RewritingSystem(sub, 3)
+    for comps in (crippled, {d: DegreeView(system, d) for d in (2, 3)}):
+        checks = (verify_newton(std2, sets2, comps)
+                  + verify_cayley_hamilton(std2, sets2, comps)
+                  + verify_char_poly(std2, comps, sets2))
+        assert any(not c.ok for c in checks)
 
 
 def test_resource_cap_surfaces(std2, monkeypatch):
@@ -462,19 +467,22 @@ def test_std4_sigma_and_delta_at_scalar_matrix():
 
 
 def test_std4_membership_refuses_before_any_slice(monkeypatch):
-    # the degree-4 slice is over the column cap; no row of a lower slice
-    # may be built before that refusal
+    # the degree-4 monomial span is over the column cap; no rule may be
+    # built before that refusal
     inserts = []
-    original = EchelonBasis.insert
+    original = RewritingSystem.insert
 
     def spy(self, f):
         inserts.append(f)
         return original(self, f)
 
-    monkeypatch.setattr(EchelonBasis, "insert", spy)
+    monkeypatch.setattr(RewritingSystem, "insert", spy)
     report = run(RunConfig("newton", builtin="std:4"))
     assert [c.status for c in report.checks] == ["skipped"] * 4
     assert inserts == []
     with pytest.raises(ResourceError):
         ideal_components(builtin_standard(4, SYM), 4)
     assert inserts == []
+    # the spy does see the rules of a system under the cap
+    ideal_components(builtin_standard(2, SYM), 2)
+    assert inserts

@@ -7,6 +7,7 @@ a flat deformation of the symmetric algebra, whose degree-d slice has
 C(N^2+d-1, d) monomials.  The ideal slice rank is the difference.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -17,11 +18,22 @@ from hypothesis import strategies as st
 
 from heckelab import ncalgebra
 from heckelab.hecke import builtin_permutation, builtin_standard, validate
+from heckelab.invariants import (
+    cayley_hamilton_defect,
+    central_set,
+    char_columns,
+    char_poly,
+    ideal_components,
+    member_at_degree,
+    newton_defect,
+)
 from heckelab.ncalgebra import (
     DegreeError,
+    DegreeView,
     EchelonBasis,
     NCPoly,
     ResourceError,
+    RewritingSystem,
     generator_matrix,
     ideal_component,
     is_member,
@@ -337,3 +349,140 @@ def test_echelon_independent_of_insert_order(build):
         order = list(rels)
         rng.shuffle(order)
         assert summary(order) == want
+
+
+# -- the rewriting system against the echelon slices --------------------------
+#
+# The commands decide membership with RewritingSystem; the echelon slices
+# built straight from the relations are its oracle at degrees <= 3.
+
+
+def _rational(q):
+    return make_field(FieldSpec.evaluated(q))
+
+
+ORACLE_SOURCES = {
+    "std2-symbolic": lambda: builtin_standard(2, SYM),
+    "std3-3/2": lambda: builtin_standard(3, _rational(Fraction(3, 2))),
+    "perm3": lambda: builtin_permutation(3, _rational(1)),
+    "gauge7-3/2": lambda: _gauged_std3(_rational(Fraction(3, 2))),
+}
+# rules that completion adds at degree 3: only the gauge has any
+DEGREE3_RULES = {"std2-symbolic": 0, "std3-3/2": 0, "perm3": 0, "gauge7-3/2": 21}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_SOURCES))
+def oracle(request):
+    h = ORACLE_SOURCES[request.param]()
+    rels = re_relations(h)
+    slices = {d: ideal_component(rels, d) for d in (2, 3)}
+    return request.param, h, RewritingSystem(rels, 3), slices
+
+
+def _reducible_words(rules, n, d):
+    """Degree-d words with a rule's lead as a factor."""
+    letters = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    count = 0
+    for word in itertools.product(letters, repeat=d):
+        w = sum(word, ())
+        if any(w[t:t + k] in rules for t in range(0, 2 * d, 2)
+               for k in range(4, 2 * d - t + 1, 2)):
+            count += 1
+    return count
+
+
+def test_rewriting_leads_count_slice_ranks(oracle):
+    name, h, system, slices = oracle
+    for d in (2, 3):
+        assert _reducible_words(system.rules, h.dim, d) == slices[d].rank
+    assert sum(len(m) == 6 for m in system.rules) == DEGREE3_RULES[name]
+
+
+def test_completion_is_needed_on_the_gauge():
+    # negative control: without S-polynomials the gauge's degree-3 leads
+    # fall short of the slice rank (std:3 needs no such rule, so it
+    # cannot catch a broken completion step)
+    rels = re_relations(_gauged_std3(_rational(Fraction(3, 2))))
+    bare = RewritingSystem(rels, 2)
+    assert _reducible_words(bare.rules, 3, 3) \
+        == ideal_component(rels, 3).rank - DEGREE3_RULES["gauge7-3/2"]
+
+
+def test_rewriting_rules_lie_in_the_slices(oracle):
+    _, _, system, slices = oracle
+    for lead, rep in system.rules.items():
+        rule = NCPoly({lead: 1}) - rep
+        assert rule.is_homogeneous()
+        assert is_member(rule, slices[len(lead) // 2])[0]
+
+
+def _defects(h):
+    """Every polynomial the newton, cayley-hamilton and charpoly commands
+    reduce: the Newton defects, the Cayley-Hamilton entries, the
+    char-poly coefficient defects and the eigen-relation entries."""
+    sets = central_set(h)
+    p = sets.p
+    out = [newton_defect(h, sets, i) for i in range(1, p + 1)]
+    out += list(cayley_hamilton_defect(h, sets).entries.values())
+    u, v = h.levi_civita()
+    cols = char_columns(h)
+    cp = char_poly(h, v, cols)
+    for i in range(p + 1):
+        sig = sets.sigma[p - i] if i < p else NCPoly.const(h.field.one)
+        out.append(cp.coeffs[i] - h.field.of_int((-1) ** i) * sig)
+    shift = TensorOperator.identity(h.dim, p, h.field.one).scaled(
+        h.field.one / h.q)
+    for i in range(1, p):
+        op = h.r_slot(i, p) + shift
+        for col in cols:
+            out += list((op @ col).entries.values())
+    return [f if isinstance(f, NCPoly) else NCPoly.const(f) for f in out]
+
+
+def test_rewriting_and_echelon_agree_on_every_defect(oracle):
+    _, h, system, slices = oracle
+    views = {d: DegreeView(system, d) for d in (2, 3)}
+    defects = _defects(h)
+    assert any(f.degree() >= 2 and not f.is_zero() for f in defects)
+    for f in defects:
+        assert member_at_degree(f, views) == (True, NCPoly())
+        assert member_at_degree(f, slices)[0]
+
+
+def _non_members(h, rng):
+    """The controls (sigma(p) alone, the top Newton defect without its
+    s(p) term, one word of two generators) and random word combinations
+    of degree 2 and 3."""
+    sets = central_set(h)
+    p = sets.p
+    L = NCPoly.generator
+    out = [sets.sigma[p],
+           newton_defect(h, sets, p) - (-1) ** p * sets.s[p],
+           L(1, 1) * L(1, 2)]
+    letters = [(i, j) for i in range(1, h.dim + 1) for j in range(1, h.dim + 1)]
+    for d in (2, 2, 3, 3, 3):
+        f = NCPoly()
+        for _ in range(4):
+            w = sum((rng.choice(letters) for _ in range(d)), ())
+            f = f + NCPoly({w: h.field.of_int(rng.randint(1, 5))})
+        out.append(f)
+    return out
+
+
+def test_rewriting_and_echelon_remainders_differ_by_the_slice(oracle):
+    _, h, system, slices = oracle
+    rng = Random(31)
+    for f in _non_members(h, rng):
+        d = f.degree()
+        ok, rest = is_member(f, DegreeView(system, d))
+        assert not ok and rest
+        ok, oracle_rest = is_member(f, slices[d])
+        assert not ok
+        assert is_member(rest - oracle_rest, slices[d])[0]
+
+
+def test_ideal_components_is_one_system(std2):
+    comps = ideal_components(std2, 3)
+    assert sorted(comps) == [2, 3]
+    assert comps[2].system is comps[3].system
+    assert [comps[d].degree for d in (2, 3)] == [2, 3]
