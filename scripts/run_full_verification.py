@@ -2,9 +2,9 @@
 """Sweep every verification command over the builtin catalogue.
 
 Defaults: std:2 through std:4 plus the classical flips perm:2 and
-perm:3, each field strategy auto-selected by size.  A source without a
-colon is read as a JSON R-matrix file.  Prints one line per (source,
-command) pair and exits nonzero if anything genuinely failed
+perm:3, each field strategy auto-selected by size.  A source other than
+std:N or perm:N is read as a JSON R-matrix file.  Prints one line per
+(source, command) pair and exits nonzero if anything genuinely failed
 (skips caused by resource caps do not fail the sweep).
 
   python3 scripts/run_full_verification.py
@@ -15,6 +15,7 @@ command) pair and exits nonzero if anything genuinely failed
 
 import argparse
 import pathlib
+import re
 import sys
 import time
 
@@ -23,13 +24,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from heckelab.cli import COMMANDS, ConfigError, RunConfig, run  # noqa: E402
 
 DEFAULT_SOURCES = ("std:2", "std:3", "std:4", "perm:2", "perm:3")
-
-
-def report_stem(source):
-    """std:3 -> std-3; a file path -> its file name without suffix."""
-    if ":" in source:
-        return source.replace(":", "-")
-    return pathlib.Path(source).stem
+BUILTIN = re.compile(r"(std|perm):[0-9]+")
 
 
 def main(argv=None):
@@ -50,11 +45,14 @@ def main(argv=None):
 
     failures = 0
     for source in ns.sources:
+        # std:3 is a builtin, reported as std-3; anything else is a file,
+        # reported by its file name without suffix
+        if BUILTIN.fullmatch(source):
+            given, stem = {"builtin": source}, source.replace(":", "-")
+        else:
+            given, stem = {"input_path": source}, pathlib.Path(source).stem
         for command in ns.commands:
-            if ":" in source:
-                cfg = RunConfig(command, builtin=source, seed=ns.seed)
-            else:
-                cfg = RunConfig(command, input_path=source, seed=ns.seed)
+            cfg = RunConfig(command, seed=ns.seed, **given)
             t0 = time.perf_counter()
             try:
                 report = run(cfg)
@@ -73,7 +71,7 @@ def main(argv=None):
             if not report.passed:
                 failures += 1
             if json_dir is not None:
-                name = "%s_%s.json" % (report_stem(source), command)
+                name = "%s_%s.json" % (stem, command)
                 (json_dir / name).write_text(report.to_json())
     print("sweep: %s" % ("all clear" if not failures else
                          "%d failing run(s)" % failures))

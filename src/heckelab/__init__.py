@@ -53,7 +53,6 @@ from .ncalgebra import (  # noqa: F401
     NCPoly,
     generator_matrix,
     re_relations,
-    RewritingSystem,
     EchelonBasis,
     ideal_component,
     is_member,

@@ -30,11 +30,10 @@ from random import Random
 
 from .hecke import Check
 from .ncalgebra import (
-    DegreeView,
     NCPoly,
     RewritingSystem,
-    check_column_cap,
     generator_matrix,
+    ideal_component,
     is_member,
     re_relations,
 )
@@ -238,11 +237,14 @@ def ideal_components(h, max_degree):
     """Graded ideal views 2..max_degree for the symmetry's relations, all
     reducing by one rewriting system completed through max_degree.
 
-    The column cap on the top degree's monomial span, computed from the
-    dimension, is checked before any rule is built."""
-    check_column_cap(h.dim, max_degree)
-    system = RewritingSystem(re_relations(h), max_degree)
-    return {d: DegreeView(system, d) for d in range(2, max_degree + 1)}
+    The top degree is asked for first: it completes the system through
+    every lower degree, and its column cap refuses before any rule is
+    built."""
+    rels = re_relations(h)
+    system = RewritingSystem(rels)
+    comps = {d: ideal_component(rels, d, system)
+             for d in range(max_degree, 1, -1)}
+    return dict(sorted(comps.items()))
 
 
 def member_at_degree(f, components):

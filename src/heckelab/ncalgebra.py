@@ -15,14 +15,18 @@ Through that degree the leads are a Groebner basis, so a polynomial is
 in the ideal exactly when its normal form is zero, and the normal form
 does not depend on which rule is applied first.
 
-EchelonBasis and ideal_component keep the direct construction: a
-row-echelon basis of one degree-d slice, each row led by its smallest
+ideal_component(relations, d) keeps the direct construction: an
+EchelonBasis of one degree-d slice, each row led by its smallest
 monomial, whose pivot-free remainder depends only on the slice.  It is
-the oracle the rewriting system is tested against.
+the oracle the rewriting system is tested against.  Given a
+RewritingSystem as well, ideal_component completes that system through
+d and returns its DegreeView instead; the commands take that path, so
+the column cap refuses both engines alike.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .qscalar import format_scalar
@@ -37,16 +41,6 @@ class DegreeError(ValueError):
 
 class ResourceError(RuntimeError):
     """Monomial space larger than DEFAULT_COLUMN_CAP."""
-
-
-def check_column_cap(n, d):
-    """Refuse a degree-d ideal over n^2 generators whose monomial span is
-    over DEFAULT_COLUMN_CAP, read at call time."""
-    columns = (n * n) ** d
-    if columns > DEFAULT_COLUMN_CAP:
-        raise ResourceError(
-            "degree-%d slice spans %d monomials, over the cap of %d"
-            % (d, columns, DEFAULT_COLUMN_CAP))
 
 
 def _scalar(x):
@@ -287,20 +281,32 @@ def _max_generator_index(relations):
     return n
 
 
-def ideal_component(relations, d):
+def ideal_component(relations, d, system=None):
     """Echelon basis of the degree-d slice of the two-sided ideal
     generated by the (homogeneous quadratic) relations.
 
     Built iteratively: the degree-(k+1) slice is spanned by g * w and
     w * g over all generators g and all rows w of the degree-k slice,
     which equals the span of all m_L * r * m_R with matching degrees.
+
+    Given ``system``, a RewritingSystem of the same relations, no slice
+    is built: the system is completed through d and its DegreeView at d
+    is returned, which decides the same memberships.
+
     A slice spanning more than DEFAULT_COLUMN_CAP monomials is refused
-    before any row is built.
+    before any row or rule is built.
     """
     if d < 2:
         raise DegreeError("ideal components start at degree 2")
     n = _max_generator_index(relations)
-    check_column_cap(n, d)
+    columns = (n * n) ** d
+    if columns > DEFAULT_COLUMN_CAP:
+        raise ResourceError(
+            "degree-%d slice spans %d monomials, over the cap of %d"
+            % (d, columns, DEFAULT_COLUMN_CAP))
+    if system is not None:
+        system.complete(d)
+        return DegreeView(system, d)
     gens = [NCPoly.generator(i, j)
             for i in range(1, n + 1) for j in range(1, n + 1)]
     basis = EchelonBasis(2)
@@ -318,28 +324,38 @@ def ideal_component(relations, d):
 
 
 class RewritingSystem:
-    """Rules for the ideal generated by homogeneous relations, complete
-    through degree ``top``.
+    """Rules for the ideal generated by homogeneous quadratic relations,
+    complete through degree ``top``.
 
     ``rules`` maps each lead, the deglex-largest word of a monic rule, to
     its replacement: the lead minus the rule.  Every rule comes from
-    ``insert``.  The relations are inserted first; then, for each degree
-    d = 3..top, the S-polynomial of every overlap of two leads (a proper
-    suffix of one equal to a proper prefix of the other) spanning d
-    letters.  Normal forms of words are memoised; a new rule of degree k
-    drops those of degree k and up.
+    ``insert``.  ``complete`` inserts the relations for degree 2, then,
+    for each further degree d, the S-polynomial of every overlap of two
+    leads (a proper suffix of one equal to a proper prefix of the other)
+    spanning d letters.  A new system has no rules (``top`` is 1).
+    Normal forms of words are memoised; a new rule of degree k drops
+    those of degree k and up.
     """
 
-    def __init__(self, relations, top):
-        self.top = top
+    def __init__(self, relations, top=1):
+        self.relations = list(relations)
+        self.n = _max_generator_index(self.relations)
+        self.top = 1
         self.rules = {}
-        self._lengths = []
         self._nf = {}
-        for r in relations:
-            self.insert(r)
-        for d in range(3, top + 1):
-            for s in self._s_polynomials(d):
-                self.insert(s)
+        self.complete(top)
+
+    def complete(self, top):
+        """Add the rules that make the system complete through degree
+        top."""
+        while self.top < top:
+            self.top += 1
+            if self.top == 2:
+                new = self.relations
+            else:
+                new = self._s_polynomials(self.top)
+            for f in new:
+                self.insert(f)
 
     def insert(self, f):
         """Add f's normal form as a rule, if it is nonzero; returns True
@@ -353,8 +369,6 @@ class RewritingSystem:
         self.rules[lead] = NCPoly({m: c * scale for m, c in r.terms.items()
                                    if m != lead})
         k = len(lead)
-        if k not in self._lengths:
-            self._lengths = sorted(self._lengths + [k])
         self._nf = {w: nf for w, nf in self._nf.items() if len(w) < k}
         return True
 
@@ -374,9 +388,7 @@ class RewritingSystem:
         """(prefix, replacement, suffix) at the leftmost lead in w, or
         None when w is a normal word."""
         for t in range(0, len(w), 2):
-            for k in self._lengths:
-                if t + k > len(w):
-                    break
+            for k in range(4, len(w) - t + 1, 2):
                 rep = self.rules.get(w[t:t + k])
                 if rep is not None:
                     return w[:t], rep, w[t + k:]
@@ -438,6 +450,16 @@ class DegreeView:
         assert 2 <= degree <= system.top
         self.system = system
         self.degree = degree
+
+    @property
+    def rank(self):
+        """Dimension of the degree-d ideal slice: the number of degree-d
+        words with a lead as a factor, counted over every word."""
+        n = self.system.n
+        letters = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        split = self.system._split
+        return sum(split(sum(word, ())) is not None
+                   for word in itertools.product(letters, repeat=self.degree))
 
     def reduce(self, f):
         return self.system.reduce(f)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckelab import ncalgebra
+from heckelab import invariants, ncalgebra
 from heckelab.hecke import builtin_permutation, builtin_standard, validate
 from heckelab.invariants import (
     cayley_hamilton_defect,
@@ -395,6 +395,7 @@ def test_rewriting_leads_count_slice_ranks(oracle):
     name, h, system, slices = oracle
     for d in (2, 3):
         assert _reducible_words(system.rules, h.dim, d) == slices[d].rank
+        assert DegreeView(system, d).rank == slices[d].rank
     assert sum(len(m) == 6 for m in system.rules) == DEGREE3_RULES[name]
 
 
@@ -481,8 +482,21 @@ def test_rewriting_and_echelon_remainders_differ_by_the_slice(oracle):
         assert is_member(rest - oracle_rest, slices[d])[0]
 
 
-def test_ideal_components_is_one_system(std2):
+def test_ideal_components_is_one_system(std2, monkeypatch):
+    # every degree passes through ideal_component, the top one first, so
+    # the column cap and anything watching ideal_component see them all
+    calls = []
+    original = invariants.ideal_component
+
+    def spy(relations, d, system=None):
+        calls.append((d, type(system).__name__))
+        return original(relations, d, system)
+
+    monkeypatch.setattr(invariants, "ideal_component", spy)
     comps = ideal_components(std2, 3)
+    assert calls == [(3, "RewritingSystem"), (2, "RewritingSystem")]
     assert sorted(comps) == [2, 3]
     assert comps[2].system is comps[3].system
     assert [comps[d].degree for d in (2, 3)] == [2, 3]
+    slices = {d: ideal_component(re_relations(std2), d) for d in (2, 3)}
+    assert [comps[d].rank for d in (2, 3)] == [slices[d].rank for d in (2, 3)]
