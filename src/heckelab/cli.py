@@ -45,6 +45,7 @@ from .qscalar import (
     DEFAULT_PRIME,
     FieldSpec,
     ScalarParseError,
+    SpecializationError,
     format_scalar,
     make_field,
     parse_scalar,
@@ -96,7 +97,13 @@ class Source:
             return builtin_standard(self.dim, fld)
         if self.kind == "perm":
             return builtin_permutation(self.dim, fld)
-        items = {k: fld.from_qscalar(v) for k, v in self.items.items()}
+        items = {}
+        for k, v in self.items.items():
+            try:
+                items[k] = fld.from_qscalar(v)
+            except SpecializationError as e:
+                raise ConfigError("entry in=%s out=%s has no value in %s: %s"
+                                  % (k[0], k[1], fld.spec.describe(), e))
         return validate(TensorOperator.from_multi(self.dim, 2, items), fld)
 
 

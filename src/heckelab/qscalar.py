@@ -15,6 +15,10 @@ Canonical form of a ``QScalar``: the numerator is a Laurent polynomial, the
 denominator an ordinary polynomial with constant term 1, and the two are
 coprime (any power of q is shifted into the numerator).  Every value has
 exactly one such representation, so equality and hashing are structural.
+The common factor is cancelled on primitive integer coefficient lists by
+the heuristic gcd ``intpoly.gcd_heu``, exact because it accepts a
+candidate only after dividing both parts by it over Z; Euclid's algorithm
+over Q (``_poly_gcd``) runs only when the heuristic gives up.
 
 All scalar kinds interoperate with ``int`` and ``Fraction`` operands, which
 keeps generic code free of explicit zero/one plumbing.
@@ -25,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+
+from .intpoly import gcd_heu, primitive_part
 
 Rat = Fraction  # arbitrary-precision rational coefficients
 
@@ -192,6 +198,9 @@ class LaurentQ:
         """Value at q = q0 in the prime field Z/prime."""
         acc = 0
         for e, c in self.coeffs.items():
+            if c.denominator % prime == 0:
+                raise SpecializationError("coefficient %s has no value mod %d"
+                                          % (c, prime))
             t = c.numerator * pow(c.denominator, -1, prime) % prime
             acc = (acc + t * pow(q0, e, prime)) % prime
         return acc % prime
@@ -231,7 +240,11 @@ def _poly_divmod(a, b):
 
 
 def _poly_gcd(a, b):
-    """Monic gcd of two ordinary polynomials over Q."""
+    """Monic gcd of two ordinary polynomials over Q (Euclid's algorithm).
+
+    The fallback of ``_canonical`` when ``gcd_heu`` gives up, and the
+    tests' reference for it.
+    """
     while b.coeffs:
         _, r = _poly_divmod(a, b)
         a, b = b, r
@@ -399,21 +412,31 @@ def _canonical(num, den):
     if a:
         den = den.shifted(-a)
         num = num.shifted(-a)
-    # cancel the polynomial content of the numerator against the denominator
+    if den == _L_ONE:
+        return QScalar(num, den)
+    # cancel the polynomial part of the numerator against the denominator,
+    # each a rational content times a primitive integer polynomial
     b = min(num.coeffs)
     core = num.shifted(-b) if b else num
-    if den != _L_ONE:
+    s, nz = primitive_part(core.coeffs)
+    t, dz = primitive_part(den.coeffs)
+    found = gcd_heu(nz, dz)
+    if found is None:
         g = _poly_gcd(core, den)
-        if g != _L_ONE:
-            core, _ = _poly_divmod(core, g)
-            den, _ = _poly_divmod(den, g)
+        s, nz = primitive_part(_poly_divmod(core, g)[0].coeffs)
+        t, dz = primitive_part(_poly_divmod(den, g)[0].coeffs)
+    elif len(found[0]) == 1 and den.coeffs[0] == 1:
+        return QScalar(num, den)  # coprime, and already normalised
+    else:
+        _, nz, dz = found
     # normalise: denominator constant term 1
-    c0 = den.coeffs.get(0)
-    if c0 != 1:
-        inv = 1 / c0
-        den = LaurentQ._raw({e: c * inv for e, c in den.coeffs.items()})
-        core = core * inv
-    return QScalar(core.shifted(b), den)
+    c0 = dz[0]
+    s = s / (t * c0)
+    num = LaurentQ._raw({e + b: s * c for e, c in enumerate(nz) if c})
+    if len(dz) == 1:
+        return QScalar(num, _L_ONE)
+    return QScalar(num, LaurentQ._raw({e: Fraction(c, c0)
+                                       for e, c in enumerate(dz) if c}))
 
 
 def _lift(x):

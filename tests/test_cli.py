@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -345,6 +346,22 @@ def test_unreadable_and_unparseable_files(tmp_path, capsys):
     bad.write_text("{ nope")
     assert main(["validate", "--input", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value, field, point", [
+    ("1/(q-2)", "evaluated:2", "Q at q = 2: pole at q = 2"),
+    ("1/23", "modular:23", "GF(23)"),
+], ids=["pole", "modulus"])
+def test_entry_without_a_value_at_the_point_exits_2(tmp_path, capsys, value,
+                                                     field, point):
+    # the seed-7 gauge file with one entry that the field cannot evaluate
+    doc = json.loads((Path(__file__).parent / "gauge-s7.json").read_text())
+    doc["entries"][0]["value"] = value
+    path = write_file(tmp_path, doc)
+    assert main(["validate", "--input", path, "--field", field]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hecke-lab: entry in=(1, 1) out=(1, 1) has no value")
+    assert point in err
 
 
 # -- flag validation ---------------------------------------------------------

@@ -10,9 +10,16 @@ one source here whose ideal needs completion rules beyond degree 2,
   python3 scripts/run_full_verification.py --sources tests/gauge-s7.json \
       --commands newton cayley-hamilton charpoly --json-dir tests/golden
 
-(run from the repository root, since the report echoes the path), and
-compared here without their time_ms fields.  A change meant to alter
-a report regenerates these files with that command.
+and the same file's rank and structure over Q(q), whose structure
+report holds the only non-trivial canonical denominators here,
+
+  hecke-lab rank --input tests/gauge-s7.json --field symbolic --json \
+      --output tests/golden/gauge-s7_rank-symbolic.json
+
+and the same for structure (each run from the repository root, since
+the report echoes the path), and compared here without their time_ms
+fields.  A change meant to alter a report regenerates these files with
+that command.
 """
 
 import json
@@ -41,10 +48,14 @@ def test_report_matches_golden(source, command):
     assert without_timings(got) == without_timings(want)
 
 
-@pytest.mark.parametrize("command", ["newton", "cayley-hamilton", "charpoly"])
-def test_gauge_report_matches_golden(command, monkeypatch):
+@pytest.mark.parametrize("name", ["newton", "cayley-hamilton", "charpoly",
+                                  "rank-symbolic", "structure-symbolic"])
+def test_gauge_report_matches_golden(name, monkeypatch):
     monkeypatch.chdir(ROOT)
-    path = GOLDEN / ("gauge-s7_%s.json" % command)
+    command, symbolic, _ = name.partition("-symbolic")
+    path = GOLDEN / ("gauge-s7_%s.json" % name)
     want = json.loads(path.read_text())
-    got = json.loads(run(RunConfig(command, input_path=GAUGE)).to_json())
+    cfg = RunConfig(command, input_path=GAUGE,
+                    field="symbolic" if symbolic else None)
+    got = json.loads(run(cfg).to_json())
     assert without_timings(got) == without_timings(want)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckelab import intpoly, qscalar
+from heckelab.intpoly import gcd_heu, primitive_part
 from heckelab.qscalar import (
     DEFAULT_PRIME,
     FieldSpec,
@@ -82,6 +84,110 @@ def test_int_interop():
     assert 2 * Q_VAR == Q_VAR + Q_VAR
     assert (Q_VAR * 0) == 0 and not (Q_VAR * 0)
     assert Q_VAR / 2 == Fraction(1, 2) * Q_VAR
+
+
+# --- the heuristic gcd, against Euclid's ----------------------------------
+
+def times(a, b):
+    """Product of two integer coefficient lists (index = exponent)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly(coeffs, scale=1):
+    return LaurentQ({e: scale * c for e, c in enumerate(coeffs)})
+
+
+def monic(g):
+    return poly(g, Fraction(1, g[-1]))
+
+
+# small coefficients, and ones beyond 64 bits of either sign
+coefficient = st.one_of(st.integers(-3, 3), st.integers(2**64, 2**70),
+                        st.integers(-2**70, -2**64))
+int_poly = st.lists(coefficient, min_size=1, max_size=4).filter(lambda c: c[-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_poly, int_poly, int_poly,
+       st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+def test_heuristic_gcd_is_euclids(f, u, v, r, t):
+    # a planted common factor f; coprime pairs and constants arise when f,
+    # u or v has length one, negative leads from the signs drawn
+    pa, pb = poly(times(f, u), r), poly(times(f, v), t)
+    ca, a = primitive_part(pa.coeffs)
+    cb, b = primitive_part(pb.coeffs)
+    assert poly(a, ca) == pa and poly(b, cb) == pb and a[-1] > 0
+    found = gcd_heu(a, b)
+    assert found is not None
+    g, qa, qb = found
+    assert times(g, qa) == a and times(g, qb) == b
+    assert monic(g) == _poly_gcd(pa, pb)
+
+
+@pytest.mark.parametrize("a, b, quotient", [
+    ([2, 3, 1], [1, 1], [2, 1]),        # (1 + q)(2 + q)
+    ([1, 3], [1, 2], None),             # 3 is no multiple of the lead 2
+    ([1, 0, 1], [1, 1], None),          # remainder 2
+    ([1, 1], [1, 1, 1], None),          # divisor of higher degree
+], ids=["divides", "lead", "remainder", "degree"])
+def test_exact_quotient(a, b, quotient):
+    assert intpoly.exact_quotient(a, b) == quotient
+
+
+def unchecked_quotient(a, b):
+    """Long division over Z that ignores every remainder."""
+    m = len(b) - 1
+    a = list(a)
+    quot = [0] * max(len(a) - m, 1)
+    for i in range(len(a) - 1 - m, -1, -1):
+        quot[i] = f = a[i + m] // b[m]
+        for j in range(m + 1):
+            a[i + j] -= f * b[j]
+    return quot
+
+
+def test_heuristic_gcd_needs_the_division_check(monkeypatch):
+    # (1 + q)(1 + 3q) and (1 + q)(2 - 2q + q^2): the candidate read from the
+    # first evaluation point does not divide both
+    a, b = [1, 4, 3], [2, 0, -1, 1]
+    euclid = _poly_gcd(poly(a), poly(b))
+    assert euclid == poly([1, 1])
+    assert monic(gcd_heu(a, b)[0]) == euclid
+    # negative control: accepting that first candidate unchecked is wrong
+    monkeypatch.setattr(intpoly, "exact_quotient", unchecked_quotient)
+    assert monic(gcd_heu(a, b)[0]) != euclid
+
+
+def canonical_sample():
+    """QScalars whose canonicalisation cancels nontrivial gcds."""
+    x = QS({2: 1, 0: -1}, {1: 1, 0: -1})
+    y = QS({0: 1}, {0: 2, 1: -1}) + QS({1: Fraction(1, 3)}, {2: 1, 0: 1})
+    z = (Q_VAR + 1) ** 3 / ((Q_VAR ** 2 - 1) * (Q_VAR - Fraction(1, 2)))
+    return [x, y, z, y / z, x * y - z, q_binomial(6, 3), q_binomial(5, 2) / q_number(4)]
+
+
+def test_euclid_fallback_gives_the_same_canonical_forms(monkeypatch):
+    euclid_calls = []
+    euclid = qscalar._poly_gcd
+
+    def counted(a, b):
+        euclid_calls.append(1)
+        return euclid(a, b)
+
+    monkeypatch.setattr(qscalar, "_poly_gcd", counted)
+    fast = canonical_sample()
+    assert not euclid_calls  # Euclid runs only when the heuristic gives up
+    monkeypatch.setattr(qscalar, "gcd_heu", lambda a, b: None)
+    slow = canonical_sample()
+    assert euclid_calls
+    for x, y in zip(fast, slow):
+        assert x.num.coeffs == y.num.coeffs and x.den.coeffs == y.den.coeffs
+        assert format_scalar(x) == format_scalar(y)
 
 
 # --- field axioms via hypothesis ------------------------------------------
