@@ -688,6 +688,13 @@ def parse_scalar(text):
 # modular scalars
 # ---------------------------------------------------------------------------
 
+def _inverse(v, prime):
+    """The inverse of the integer v modulo prime."""
+    if v % prime == 0:
+        raise ZeroDivisionError("division by zero mod %d" % prime)
+    return pow(v, -1, prime)
+
+
 class ModInt:
     """Residue in Z/prime with field arithmetic; mixes with int operands."""
 
@@ -704,7 +711,7 @@ class ModInt:
         if isinstance(other, int):
             return other % self.prime
         if isinstance(other, Fraction):
-            return (other.numerator * pow(other.denominator, -1, self.prime)
+            return (other.numerator * _inverse(other.denominator, self.prime)
                     % self.prime)
         return None
 
@@ -755,22 +762,18 @@ class ModInt:
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError("division by zero mod %d" % self.prime)
-        return ModInt(self.value * pow(v, -1, self.prime), self.prime)
+        return ModInt(self.value * _inverse(v, self.prime), self.prime)
 
     def __rtruediv__(self, other):
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        if self.value == 0:
-            raise ZeroDivisionError("division by zero mod %d" % self.prime)
-        return ModInt(v * pow(self.value, -1, self.prime), self.prime)
+        return ModInt(v * _inverse(self.value, self.prime), self.prime)
 
     def __pow__(self, k):
         k = int(k)
         if k < 0:
-            return ModInt(pow(self.value, -1, self.prime), self.prime) ** (-k)
+            return ModInt(_inverse(self.value, self.prime), self.prime) ** (-k)
         return ModInt(pow(self.value, k, self.prime), self.prime)
 
     def __str__(self):

@@ -14,12 +14,20 @@ that genuinely divide (invert, rank1_factor) need field entries.
 Empty sums come back as the plain int 0, which every scalar kind here
 accepts as an absorbing operand.
 
+A product of two operators whose entries are all ModInts of one prime p
+or plain ints runs on the integer residues: each output entry sums its
+products as an unreduced int and is reduced mod p once, and entries
+that reduce to 0 are dropped.  Reduction is a ring homomorphism Z -> Z/p,
+so this is the same sum in Z/p as reducing after every step.
+
 Contractions have one construction each: a column and a row pair by
 ``@``, and a partial contraction of u against v is the partial trace
 ``outer(u, v).trace_slots(slots)``.
 """
 
 from __future__ import annotations
+
+from .qscalar import ModInt
 
 
 class ShapeError(ValueError):
@@ -36,6 +44,22 @@ class NotIdempotentError(ArithmeticError):
 
 class NotRankOneError(ArithmeticError):
     pass
+
+
+def _residue_prime(*operators):
+    """The prime p when every entry of the operators is a ModInt mod p or
+    a plain int and at least one is a ModInt; None otherwise."""
+    prime = None
+    for op in operators:
+        for v in op.entries.values():
+            if type(v) is ModInt:
+                if prime is None:
+                    prime = v.prime
+                elif v.prime != prime:
+                    return None
+            elif type(v) is not int:
+                return None
+    return prime
 
 
 def encode(index, dim):
@@ -172,6 +196,9 @@ class TensorOperator:
         if not isinstance(other, TensorOperator):
             return NotImplemented
         self._check_same_shape(other)
+        prime = _residue_prime(self, other)
+        if prime is not None:
+            return self._matmul_mod(other, prime)
         rows = {}
         for (r, c), v in other.entries.items():
             rows.setdefault(r, []).append((c, v))
@@ -191,6 +218,34 @@ class TensorOperator:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
+        return TensorOperator(self.dim, self.arity, acc)
+
+    def _matmul_mod(self, other, prime):
+        """self @ other over GF(prime), on plain residues: each output
+        entry sums its products as an int and is reduced once."""
+        rows = {}
+        for (r, c), v in other.entries.items():
+            rows.setdefault(r, []).append((c, v if type(v) is int else v.value))
+        acc = {}
+        get = acc.get
+        for (i, k), a in self.entries.items():
+            hits = rows.get(k)
+            if not hits:
+                continue
+            if type(a) is not int:
+                a = a.value
+            for j, b in hits:
+                key = (i, j)
+                acc[key] = get(key, 0) + a * b
+        zeros = []
+        for key, s in acc.items():
+            s %= prime
+            if s:
+                acc[key] = ModInt(s, prime)
+            else:
+                zeros.append(key)
+        for key in zeros:
+            del acc[key]
         return TensorOperator(self.dim, self.arity, acc)
 
     # -- tensor-structure operations --------------------------------------

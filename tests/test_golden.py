@@ -4,6 +4,12 @@ tests/golden holds one JSON report per (source, command) pair, written by
 
   python3 scripts/run_full_verification.py --sources std:2 std:3 perm:2 perm:3 --json-dir tests/golden
 
+plus std:4's validation, rank and structure at its default field, the
+one path here that multiplies operators over GF(p),
+
+  python3 scripts/run_full_verification.py --sources std:4 \
+      --commands validate rank structure --json-dir tests/golden
+
 plus the membership commands on the gauge-conjugated std:3 file, the
 one source here whose ideal needs completion rules beyond degree 2,
 
@@ -39,13 +45,22 @@ SOURCES = ("std:2", "std:3", "perm:2", "perm:3")
 GAUGE = "tests/gauge-s7.json"
 
 
-@pytest.mark.parametrize("source", SOURCES)
-@pytest.mark.parametrize("command", COMMANDS)
-def test_report_matches_golden(source, command):
+def check_builtin(source, command):
     path = GOLDEN / ("%s_%s.json" % (source.replace(":", "-"), command))
     want = json.loads(path.read_text())
     got = json.loads(run(RunConfig(command, builtin=source)).to_json())
     assert without_timings(got) == without_timings(want)
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_report_matches_golden(source, command):
+    check_builtin(source, command)
+
+
+@pytest.mark.parametrize("command", ["validate", "rank", "structure"])
+def test_modular_report_matches_golden(command):
+    check_builtin("std:4", command)
 
 
 @pytest.mark.parametrize("name", ["newton", "cayley-hamilton", "charpoly",

@@ -465,6 +465,18 @@ def test_modint_arithmetic():
         a / ModInt(0, p)
 
 
+@pytest.mark.parametrize("op", [
+    lambda: ModInt(3, 7) == Fraction(1, 7),
+    lambda: ModInt(3, 7) * Fraction(1, 7),
+    lambda: ModInt(0, 7) ** -1,
+    lambda: ModInt(3, 7) / 0,
+    lambda: 1 / ModInt(0, 7),
+], ids=["eq-fraction", "mul-fraction", "pow", "div", "rdiv"])
+def test_modint_non_invertible_raises_zero_division(op):
+    with pytest.raises(ZeroDivisionError, match="division by zero mod 7"):
+        op()
+
+
 # --- deterministic sampling -------------------------------------------------
 
 def test_sample_rational_qs():

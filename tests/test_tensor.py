@@ -4,7 +4,11 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heckelab.ncalgebra import NCPoly
+from heckelab.qscalar import DEFAULT_PRIME, ModInt, Q_VAR
 from heckelab.tensor import (
     CoTensor,
     ContraTensor,
@@ -350,3 +354,94 @@ def test_contract_keep_helpers():
     # heads must match: u_(2,1) with nothing, u_(1,2) with v head 1
     assert kl.entry((2,), (2,)) == 21
     assert kl.entry((1,), (1,)) == 0
+
+
+# --- products over GF(p) on plain residues ------------------------------------
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Records the prime of every product that takes the residue kernel."""
+    calls = []
+    kernel = TensorOperator._matmul_mod
+
+    def spy(self, other, prime):
+        calls.append(prime)
+        return kernel(self, other, prime)
+
+    monkeypatch.setattr(TensorOperator, "_matmul_mod", spy)
+    return calls
+
+
+def reference_product(a, b, p):
+    """a @ b entry by entry with ModInt arithmetic, zeros dropped."""
+    out = {}
+    for i in range(a.size):
+        for j in range(a.size):
+            s = ModInt(0, p)
+            for k in range(a.size):
+                x, y = a.entries.get((i, k)), b.entries.get((k, j))
+                if x is not None and y is not None:
+                    s = s + x * y
+            if s:
+                out[(i, j)] = s
+    return out
+
+
+@st.composite
+def residue_operators(draw, p, dim=2, arity=2):
+    """A sparse operator mod p whose entries are ModInts and plain ints
+    (some of them multiples of p), with at least one ModInt."""
+    size = dim ** arity
+    key = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    value = st.one_of(st.integers(1, p - 1).map(lambda v: ModInt(v, p)),
+                      st.integers(-2 * p, 2 * p).filter(bool))
+    entries = draw(st.dictionaries(key, value, max_size=size * size))
+    entries[draw(key)] = ModInt(draw(st.integers(1, p - 1)), p)
+    return TensorOperator(dim, arity, entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([7, DEFAULT_PRIME]).flatmap(
+    lambda p: st.tuples(st.just(p), residue_operators(p), residue_operators(p))))
+def test_residue_product_matches_modint_reference(case):
+    p, a, b = case
+    got = a @ b
+    assert got.entries == reference_product(a, b, p)
+    assert all(type(v) is ModInt and v.prime == p and v.value
+               for v in got.entries.values())
+
+
+@pytest.mark.parametrize("p, a0, a1, b0, b1", [
+    (7, ModInt(3, 7), ModInt(2, 7), ModInt(4, 7), ModInt(1, 7)),
+    (DEFAULT_PRIME, ModInt(2, DEFAULT_PRIME), -1,
+     ModInt((DEFAULT_PRIME + 1) // 2, DEFAULT_PRIME), 1),
+])
+def test_residue_product_cancelling_mod_p_is_zero(p, a0, a1, b0, b1,
+                                                  kernel_calls):
+    # row (a0, a1) against column (b0, b1): 3*4 + 2*1 = 14 = 0 mod 7,
+    # and 2*(p+1)/2 - 1 = p at the large prime, with plain ints mixed in
+    a = TensorOperator(2, 1, {(0, 0): a0, (0, 1): a1})
+    b = TensorOperator(2, 1, {(0, 0): b0, (1, 0): b1})
+    assert (a @ b).is_zero()
+    assert kernel_calls == [p]
+
+
+def test_mixed_moduli_still_fail():
+    a = TensorOperator(2, 1, {(0, 0): ModInt(3, 7), (0, 1): ModInt(1, 7)})
+    b = TensorOperator(2, 1, {(0, 0): ModInt(4, 11), (1, 0): ModInt(1, 11)})
+    with pytest.raises(AssertionError, match="mixed moduli"):
+        a @ b
+
+
+@pytest.mark.parametrize("one, q", [
+    (Fraction(1), Fraction(2, 3)),
+    (Q_VAR ** 0, Q_VAR),
+    (NCPoly.const(1), NCPoly.generator(1, 2)),
+    (ModInt(1, 7), Fraction(2, 3)),
+], ids=["Fraction", "QScalar", "NCPoly", "ModInt-with-Fraction"])
+def test_other_entries_take_the_generic_loop(one, q, kernel_calls):
+    a = TensorOperator(2, 1, {(0, 0): one, (0, 1): q, (1, 1): one})
+    b = TensorOperator(2, 1, {(0, 1): q, (1, 0): one})
+    got = a @ b
+    assert got.entries == {(0, 0): q * one, (0, 1): one * q, (1, 0): one * one}
+    assert kernel_calls == []
