@@ -26,9 +26,6 @@ from .qscalar import (  # noqa: F401
 )
 from .tensor import (  # noqa: F401
     TensorOperator,
-    CoTensor,
-    ContraTensor,
-    outer,
     ShapeError,
     NotInvertibleError,
 )

@@ -473,9 +473,11 @@ def _run_points(plan, fn):
 # structure/charpoly report payloads (single-point runs only)
 # ---------------------------------------------------------------------------
 
-def _format_co(t):
-    return {",".join(map(str, decode(k, t.dim, t.arity))): format_scalar(v)
-            for k, v in sorted(t.entries.items())}
+def _format_vector(t, axis):
+    """A column (axis 0) by its row index or a row (axis 1) by its column
+    index."""
+    return {",".join(map(str, decode(key[axis], t.dim, t.arity))):
+            format_scalar(v) for key, v in sorted(t.entries.items())}
 
 
 def _format_op(t):
@@ -493,8 +495,8 @@ def _structure_data(h):
     b = h.matrix_b()
     return {
         "rank": h.detect_rank(),
-        "u": _format_co(u),
-        "v": _format_co(v),
+        "u": _format_vector(u, 0),
+        "v": _format_vector(v, 1),
         "c": _format_op(c),
         "b": _format_op(b),
         "trace_c": format_scalar(c.trace_full()),

@@ -113,7 +113,7 @@ def sigma(h, u, v, i):
     col = u
     for _ in range(i):
         col = l1 @ _r_chain(rs, col)
-    val = v @ col
+    val = (v @ col).as_scalar()
     if not isinstance(val, NCPoly):
         val = NCPoly.const(val)
     out = h.field.from_qscalar(alpha(i, p)) * val
@@ -193,7 +193,7 @@ def char_poly(h, v, cols):
     p = h.detect_rank()
     coeffs = []
     for k, col in enumerate(cols):
-        val = v @ col
+        val = (v @ col).as_scalar()
         if not isinstance(val, NCPoly):
             val = NCPoly.const(val)
         assert val.is_zero() or (val.is_homogeneous()

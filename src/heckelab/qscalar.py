@@ -954,9 +954,15 @@ def sample_rational_qs(count, seed):
     return rng.sample(pool, count)
 
 
-def sample_modular_qs(count, prime, seed, order_floor=18):
+# q^k != 1 for k <= 18 keeps every q-number i_q = (q^(2i) - 1) /
+# (q^(i-1) (q^2 - 1)) with i <= 9 invertible, which covers the q-numbers
+# up to the default rank bound of 8 that the antisymmetrizers divide by.
+_MODULAR_ORDER_FLOOR = 18
+
+
+def sample_modular_qs(count, prime, seed):
     """Distinct residues mod prime whose multiplicative order exceeds
-    order_floor (so the q-numbers that matter are invertible)."""
+    _MODULAR_ORDER_FLOOR."""
     if prime < 4:
         raise SpecializationError("no residue in 2..prime-2 to sample")
     rng = Random(seed)
@@ -973,7 +979,7 @@ def sample_modular_qs(count, prime, seed, order_floor=18):
         seen.add(v)
         t = v
         ok = True
-        for _ in range(order_floor):
+        for _ in range(_MODULAR_ORDER_FLOOR):
             if t == 1:
                 ok = False
                 break

@@ -18,11 +18,14 @@ A product of two operators whose entries are all ModInts of one prime p
 or plain ints runs on the integer residues: each output entry sums its
 products as an unreduced int and is reduced mod p once, and entries
 that reduce to 0 are dropped.  Reduction is a ring homomorphism Z -> Z/p,
-so this is the same sum in Z/p as reducing after every step.
+so this is the same sum in Z/p as reducing after every step.  Columns
+and rows are operators too, so their products take the same kernel.
 
-Contractions have one construction each: a column and a row pair by
-``@``, and a partial contraction of u against v is the partial trace
-``outer(u, v).trace_slots(slots)``.
+A column u over V^(arity) is an operator whose entries all sit in column
+0, and a row v one whose entries all sit in row 0.  So O @ u, v @ O, the
+pairing v @ u (read with as_scalar) and the rank-1 operator u @ v are
+all the one operator product, and a partial contraction of u against v
+is the partial trace ``(u @ v).trace_slots(slots)``.
 """
 
 from __future__ import annotations
@@ -128,8 +131,9 @@ class TensorOperator:
     __hash__ = None  # mutable container semantics
 
     def as_scalar(self):
-        """The single entry of an arity-0 operator (a fully traced value)."""
-        assert self.arity == 0
+        """The (0, 0) entry of an operator with no other entry: a fully
+        traced value, or a row paired with a column."""
+        assert self.entries.keys() <= {(0, 0)}, "entry off (0, 0)"
         return self.entries.get((0, 0), 0)
 
     def _check_same_shape(self, other):
@@ -175,24 +179,6 @@ class TensorOperator:
         return self.scaled(c)
 
     def __matmul__(self, other):
-        if isinstance(other, CoTensor):
-            if other.dim != self.dim or other.arity != self.arity:
-                raise ShapeError("operator/vector shapes differ")
-            acc = {}
-            for (r, c), a in self.entries.items():
-                u = other.entries.get(c)
-                if u is None:
-                    continue
-                s = acc.get(r)
-                if s is None:
-                    s = a * u
-                else:
-                    s = s + a * u
-                if s:
-                    acc[r] = s
-                else:
-                    acc.pop(r, None)
-            return CoTensor(self.dim, self.arity, acc)
         if not isinstance(other, TensorOperator):
             return NotImplemented
         self._check_same_shape(other)
@@ -375,7 +361,8 @@ class TensorOperator:
                                  % (tr,))
 
     def rank1_factor(self):
-        """Split a rank-1 idempotent A into (u, v) with A = u v and v u = 1.
+        """Split a rank-1 idempotent A into a column u and a row v with
+        A = u v and v u = 1.
 
         Deterministic normalisation: u is the first nonzero column in
         ascending flattened order, scaled so its first nonzero entry is 1;
@@ -390,130 +377,19 @@ class TensorOperator:
         column = cols[cstar]
         rstar = min(column)
         anchor = column[rstar]
-        u = CoTensor(self.dim, self.arity,
-                     {r: v / anchor for r, v in column.items()})
-        v_entries = {c: v for (r, c), v in self.entries.items() if r == rstar}
-        v = ContraTensor(self.dim, self.arity, v_entries)
-        pairing = v @ u
+        u = TensorOperator(self.dim, self.arity,
+                           {(r, 0): v / anchor for r, v in column.items()})
+        v = TensorOperator(self.dim, self.arity,
+                           {(0, c): v for (r, c), v in self.entries.items()
+                            if r == rstar})
+        pairing = (v @ u).as_scalar()
         if not pairing:
             raise NotRankOneError("degenerate pairing")
         v = v.scaled(1 / pairing)
-        if outer(u, v) != self:
+        if u @ v != self:
             raise NotRankOneError("operator is not rank one")
         return u, v
 
     def __repr__(self):
         return ("TensorOperator(dim=%d, arity=%d, nnz=%d)"
                 % (self.dim, self.arity, len(self.entries)))
-
-
-# ---------------------------------------------------------------------------
-# covariant (column) and contravariant (row) tensors
-# ---------------------------------------------------------------------------
-
-class _Vector:
-    """Storage and linear algebra shared by the two vector kinds:
-    entries {flat_index: value} over V^(arity)."""
-
-    __slots__ = ("dim", "arity", "entries")
-
-    def __init__(self, dim, arity, entries=None):
-        self.dim = dim
-        self.arity = arity
-        self.entries = {} if entries is None else entries
-
-    @classmethod
-    def from_multi(cls, dim, arity, items):
-        return cls(dim, arity, {encode(t, dim): v for t, v in items.items() if v})
-
-    def entry(self, index):
-        return self.entries.get(encode(index, self.dim), 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return (self.dim == other.dim and self.arity == other.arity
-                and self.entries == other.entries)
-
-    def is_zero(self):
-        return not self.entries
-
-    def scaled(self, c):
-        if not c:
-            return type(self)(self.dim, self.arity, {})
-        return type(self)(self.dim, self.arity,
-                          {k: c * v for k, v in self.entries.items()})
-
-    __rmul__ = scaled
-
-    def __add__(self, other):
-        assert isinstance(other, type(self))
-        d = dict(self.entries)
-        for k, v in other.entries.items():
-            s = d.get(k)
-            s = v if s is None else s + v
-            if s:
-                d[k] = s
-            else:
-                d.pop(k, None)
-        return type(self)(self.dim, self.arity, d)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __repr__(self):
-        return "%s(dim=%d, arity=%d, nnz=%d)" % (
-            type(self).__name__, self.dim, self.arity, len(self.entries))
-
-
-class CoTensor(_Vector):
-    """Column vector u with lower indices."""
-
-    __slots__ = ()
-
-
-class ContraTensor(_Vector):
-    """Row vector v with upper indices."""
-
-    __slots__ = ()
-
-    def __matmul__(self, other):
-        if isinstance(other, CoTensor):
-            # full pairing v . u
-            if self.dim != other.dim or self.arity != other.arity:
-                raise ShapeError("pairing shapes differ")
-            acc = 0
-            for k, a in self.entries.items():
-                b = other.entries.get(k)
-                if b is not None:
-                    acc = acc + a * b
-            return acc
-        if isinstance(other, TensorOperator):
-            # (v O)^j = sum_i v^i O_i^j
-            if self.dim != other.dim or self.arity != other.arity:
-                raise ShapeError("vector/operator shapes differ")
-            acc = {}
-            for (r, c), o in other.entries.items():
-                a = self.entries.get(r)
-                if a is None:
-                    continue
-                s = acc.get(c)
-                s = a * o if s is None else s + a * o
-                if s:
-                    acc[c] = s
-                else:
-                    acc.pop(c, None)
-            return ContraTensor(self.dim, self.arity, acc)
-        return NotImplemented
-
-
-def outer(u, v):
-    """Rank-1 operator u v from a column and a row."""
-    assert u.dim == v.dim and u.arity == v.arity
-    entries = {}
-    for r, a in u.entries.items():
-        for c, b in v.entries.items():
-            w = a * b
-            if w:
-                entries[(r, c)] = w
-    return TensorOperator(u.dim, u.arity, entries)

@@ -34,7 +34,7 @@ from heckelab.qscalar import (
     parse_scalar,
     q_number,
 )
-from heckelab.tensor import CoTensor, TensorOperator
+from heckelab.tensor import TensorOperator
 
 SYM = make_field(FieldSpec.symbolic())
 Q = SYM.q
@@ -257,12 +257,14 @@ def test_field_error_when_q_number_vanishes():
 def test_levi_civita_dim2_values(std2):
     u, v = std2.levi_civita()
     two = q_number(2)
-    assert u.entry((2, 1)) == 1
-    assert u.entry((1, 2)) == -(SYM.one / Q)
+    # u is a column (entries in column (1, 1)), v a row (in row (1, 1))
+    assert u.entry((2, 1), (1, 1)) == 1
+    assert u.entry((1, 2), (1, 1)) == -(SYM.one / Q)
     assert len(u.entries) == 2
-    assert v.entry((2, 1)) == Q / two
-    assert v.entry((1, 2)) == -(SYM.one / two)
-    assert v @ u == SYM.one
+    assert v.entry((1, 1), (2, 1)) == Q / two
+    assert v.entry((1, 1), (1, 2)) == -(SYM.one / two)
+    assert len(v.entries) == 2
+    assert (v @ u).as_scalar() == SYM.one
 
 
 def test_levi_civita_eigen_dim3(std3):
@@ -272,7 +274,7 @@ def test_levi_civita_eigen_dim3(std3):
         ri = std3.r_slot(i, 3)
         assert ri @ u == u.scaled(minus_inv_q)
         assert v @ ri == v.scaled(minus_inv_q)
-    assert v @ u == SYM.one
+    assert (v @ u).as_scalar() == SYM.one
 
 
 def test_levi_civita_eigenvalue_names_the_first_failure(monkeypatch):
@@ -282,7 +284,9 @@ def test_levi_civita_eigenvalue_names_the_first_failure(monkeypatch):
 
     def shifted(self):
         u, v = real(self)
-        return u + CoTensor.from_multi(3, 3, {(1, 1, 1): self.field.one}), v
+        e111 = TensorOperator.from_multi(
+            3, 3, {((1, 1, 1), (1, 1, 1)): self.field.one})
+        return u + e111, v
 
     monkeypatch.setattr(HeckeSymmetry, "levi_civita", shifted)
     checks = {c.name: c for c in identity_suite(h)}
@@ -291,10 +295,8 @@ def test_levi_civita_eigenvalue_names_the_first_failure(monkeypatch):
 
 
 def test_top_antisymmetrizer_factors(std3):
-    from heckelab.tensor import outer
-
     u, v = std3.levi_civita()
-    assert outer(u, v) == std3.antisymmetrizer(3)
+    assert u @ v == std3.antisymmetrizer(3)
 
 
 # -- symmetrized insertion ---------------------------------------------------

@@ -355,7 +355,7 @@ def _operator_power_sigma(h, u, v, i):
     op = step
     for _ in range(i - 1):
         op = op @ step
-    val = (v @ op) @ u
+    val = ((v @ op) @ u).as_scalar()
     if not isinstance(val, NCPoly):
         val = NCPoly.const(val)
     return h.field.from_qscalar(alpha(i, p)) * val
@@ -395,6 +395,64 @@ def test_contracted_sigma_and_w_match_operator_powers(kind, n, spec):
     for i in range(1, p + 1):
         assert sigma(h, u, v, i) == _operator_power_sigma(h, u, v, i)
     assert w_column(h, u) == _operator_product_w(h, u)
+
+
+@pytest.fixture
+def matmul_routes(monkeypatch):
+    """[left, right, took the residue kernel] for every operator product."""
+    routes = []
+    matmul, kernel = TensorOperator.__matmul__, TensorOperator._matmul_mod
+
+    def spy_matmul(self, other):
+        routes.append([self, other, False])
+        return matmul(self, other)
+
+    def spy_kernel(self, other, prime):
+        routes[-1][2] = True
+        return kernel(self, other, prime)
+
+    monkeypatch.setattr(TensorOperator, "__matmul__", spy_matmul)
+    monkeypatch.setattr(TensorOperator, "_matmul_mod", spy_kernel)
+    return routes
+
+
+def _has_nc(op):
+    return any(isinstance(x, NCPoly) for x in op.entries.values())
+
+
+def _modular_std3():
+    return builtin_standard(
+        3, make_field(FieldSpec.modular(DEFAULT_PRIME, 123456789)))
+
+
+def test_levi_civita_products_over_gf_p_take_the_residue_kernel(matmul_routes):
+    # u and v are a column and a row: R_i @ u and v @ R_i are operator
+    # products, so over GF(p) they run on plain residues like any other
+    h = _modular_std3()
+    h.detect_rank()
+    del matmul_routes[:]
+    u, v = h.levi_civita()
+    for i in (1, 2):
+        ri = h.r_slot(i, 3)
+        for left, right in ((ri, u), (v, ri)):
+            hits = [k for a, b, k in matmul_routes if a is left and b is right]
+            assert hits == [True]
+    assert all(k for _, _, k in matmul_routes)
+
+
+def test_nc_columns_take_the_generic_loop(matmul_routes):
+    # sigma and w_column start from the residue column u; once L_1 has
+    # acted the column holds NC polynomials and must leave the kernel
+    h = _modular_std3()
+    u, v = h.levi_civita()
+    del matmul_routes[:]
+    sigma(h, u, v, 3)
+    w_column(h, u)
+    nc = [k for a, b, k in matmul_routes if _has_nc(a) or _has_nc(b)]
+    residue = [k for a, b, k in matmul_routes
+               if not (_has_nc(a) or _has_nc(b))]
+    assert nc and not any(nc)
+    assert residue and all(residue)
 
 
 def _explicit_power_cayley_hamilton(h, sets, drop=None):

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from heckelab.ncalgebra import NCPoly
 from heckelab.qscalar import DEFAULT_PRIME, ModInt, Q_VAR
 from heckelab.tensor import (
-    CoTensor,
-    ContraTensor,
     NotIdempotentError,
     NotInvertibleError,
     NotRankOneError,
@@ -19,7 +17,6 @@ from heckelab.tensor import (
     TensorOperator,
     decode,
     encode,
-    outer,
 )
 
 
@@ -312,15 +309,18 @@ def test_idempotent_rank_identity_and_zero():
 # --- rank-1 factorisation --------------------------------------------------------
 
 def test_rank1_factor_recovers_projector():
-    u = CoTensor(2, 2, {1: Fraction(2), 2: Fraction(-1)})
-    v = ContraTensor(2, 2, {1: Fraction(1, 3), 2: Fraction(1, 3)})
+    u = TensorOperator(2, 2, {(1, 0): Fraction(2), (2, 0): Fraction(-1)})
+    v = TensorOperator(2, 2, {(0, 1): Fraction(1, 3), (0, 2): Fraction(1, 3)})
     # normalise the pairing to 1 so that u v is idempotent
-    pairing = v @ u
+    pairing = (v @ u).as_scalar()
     v = v.scaled(1 / pairing)
-    a = outer(u, v)
+    a = u @ v
     uu, vv = a.rank1_factor()
-    assert outer(uu, vv) == a
-    assert vv @ uu == 1
+    assert uu @ vv == a
+    assert (vv @ uu).as_scalar() == 1
+    # uu is a column and vv a row
+    assert {c for _, c in uu.entries} == {0}
+    assert {r for r, _ in vv.entries} == {0}
     # first nonzero entry of uu is exactly 1
     first = min(uu.entries)
     assert uu.entries[first] == 1
@@ -332,25 +332,32 @@ def test_rank1_factor_rejects_rank2():
         a.rank1_factor()
 
 
-# --- vectors ---------------------------------------------------------------------
+# --- columns and rows ----------------------------------------------------------
+#
+# A column holds its entries in column 0 and a row in row 0; the flat index
+# 0 is the multi-index (1, 1).
 
 def test_vector_contraction_associativity():
     rng = Random(61)
     o = random_operator(rng, 2, 2)
-    u = CoTensor(2, 2, {i: Fraction(rng.randint(-3, 3)) for i in range(4)})
-    v = ContraTensor(2, 2, {i: Fraction(rng.randint(-3, 3)) for i in range(4)})
+    xs = [Fraction(rng.randint(-3, 3)) for _ in range(8)]
+    u = TensorOperator(2, 2, {(i, 0): x for i, x in enumerate(xs[:4]) if x})
+    v = TensorOperator(2, 2, {(0, i): x for i, x in enumerate(xs[4:]) if x})
     assert (v @ o) @ u == v @ (o @ u)
+    assert ((v @ o) @ u).as_scalar() != 0
 
 
 def test_contract_keep_helpers():
-    u = CoTensor.from_multi(2, 2, {(1, 2): Fraction(3), (2, 1): Fraction(5)})
-    v = ContraTensor.from_multi(2, 2, {(1, 2): Fraction(7), (2, 2): Fraction(1)})
-    kf = outer(u, v).trace_slots([2])
+    u = TensorOperator.from_multi(2, 2, {((1, 2), (1, 1)): Fraction(3),
+                                         ((2, 1), (1, 1)): Fraction(5)})
+    v = TensorOperator.from_multi(2, 2, {((1, 1), (1, 2)): Fraction(7),
+                                         ((1, 1), (2, 2)): Fraction(1)})
+    kf = (u @ v).trace_slots([2])
     # tails must match: u_(1,2) pairs with v^(1,2) and v^(2,2)
     assert kf.entry((1,), (1,)) == 21
     assert kf.entry((1,), (2,)) == 3
     assert kf.entry((2,), (1,)) == 0
-    kl = outer(u, v).trace_slots([1])
+    kl = (u @ v).trace_slots([1])
     # heads must match: u_(2,1) with nothing, u_(1,2) with v head 1
     assert kl.entry((2,), (2,)) == 21
     assert kl.entry((1,), (1,)) == 0
@@ -372,12 +379,13 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def reference_product(a, b, p):
-    """a @ b entry by entry with ModInt arithmetic, zeros dropped."""
+def reference_product(a, b, zero):
+    """a @ b as a dense product, each sum started from the field's zero
+    (ModInt(0, p) or Fraction(0)), zeros dropped."""
     out = {}
     for i in range(a.size):
         for j in range(a.size):
-            s = ModInt(0, p)
+            s = zero
             for k in range(a.size):
                 x, y = a.entries.get((i, k)), b.entries.get((k, j))
                 if x is not None and y is not None:
@@ -406,7 +414,7 @@ def residue_operators(draw, p, dim=2, arity=2):
 def test_residue_product_matches_modint_reference(case):
     p, a, b = case
     got = a @ b
-    assert got.entries == reference_product(a, b, p)
+    assert got.entries == reference_product(a, b, ModInt(0, p))
     assert all(type(v) is ModInt and v.prime == p and v.value
                for v in got.entries.values())
 
@@ -445,3 +453,58 @@ def test_other_entries_take_the_generic_loop(one, q, kernel_calls):
     got = a @ b
     assert got.entries == {(0, 0): q * one, (0, 1): one * q, (1, 0): one * one}
     assert kernel_calls == []
+
+
+# --- columns and rows against a dense reference ----------------------------------
+
+@st.composite
+def vector_products(draw):
+    """(O, u, v, zero) on V^2 at dim 2 over Fraction or GF(7): entries mix
+    field elements with nonzero plain ints (over GF(7) some are multiples
+    of 7), each operand holds at least one field element, and O's row 0
+    is planted to cancel against u, so (O @ u) has a zero entry to drop."""
+    one = draw(st.sampled_from([Fraction(1), ModInt(1, 7)]))
+    if type(one) is ModInt:
+        elem = st.integers(1, 6).map(lambda k: ModInt(k, 7))
+    else:
+        elem = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                         st.integers(1, 5))
+    value = st.one_of(elem, st.integers(-14, 14).filter(bool))
+    idx = st.integers(0, 3)
+    op = draw(st.dictionaries(st.tuples(idx, idx), value, max_size=16))
+    col = draw(st.dictionaries(idx, value, max_size=4))
+    row = draw(st.dictionaries(idx, value, max_size=4))
+    k1, k2 = draw(st.lists(idx, min_size=2, max_size=2, unique=True))
+    col[k1], col[k2], x = draw(elem), draw(elem), draw(elem)
+    row[draw(idx)] = draw(elem)
+    for c in range(4):
+        op.pop((0, c), None)
+    op[(0, k1)] = x
+    op[(0, k2)] = -x * col[k1] / col[k2]
+    return (TensorOperator(2, 2, op),
+            TensorOperator(2, 2, {(r, 0): a for r, a in col.items()}),
+            TensorOperator(2, 2, {(0, c): a for c, a in row.items()}),
+            one - one)
+
+
+@settings(max_examples=120, deadline=None)
+@given(vector_products())
+def test_column_and_row_products_match_dense_reference(case):
+    o, u, v, zero = case
+    ou = o @ u
+    assert ou.entries == reference_product(o, u, zero)
+    assert (0, 0) not in ou.entries
+    assert {c for _, c in ou.entries} <= {0}
+    vo = v @ o
+    assert vo.entries == reference_product(v, o, zero)
+    assert {r for r, _ in vo.entries} <= {0}
+    assert (v @ u).as_scalar() == reference_product(v, u, zero).get((0, 0), 0)
+    assert (u @ v).entries == reference_product(u, v, zero)
+
+
+def test_as_scalar_rejects_an_entry_off_the_corner():
+    u = TensorOperator(2, 1, {(0, 0): Fraction(1), (1, 0): Fraction(2)})
+    v = TensorOperator(2, 1, {(0, 0): Fraction(3)})
+    assert (v @ u).as_scalar() == 3
+    with pytest.raises(AssertionError, match=r"entry off \(0, 0\)"):
+        (u @ v).as_scalar()
