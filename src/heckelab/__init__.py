@@ -4,8 +4,6 @@ relations for Hecke-type R-matrices."""
 __version__ = "0.1.0"
 
 from .qscalar import (  # noqa: F401
-    Rat,
-    LaurentQ,
     QScalar,
     ModInt,
     FieldSpec,

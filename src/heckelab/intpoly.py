@@ -1,29 +1,20 @@
 """Dense integer polynomials, as used to put Q(q) scalars in canonical form.
 
 A polynomial is a list of ints, index = exponent.  ``primitive_part``
-splits a polynomial with Fraction coefficients into a rational content
-and a primitive integer list, and ``gcd_heu`` returns the gcd of two such
-lists together with both exact quotients.
+splits one into its content and a primitive list, and ``gcd_heu`` returns
+the gcd of two primitive lists together with both exact quotients.
 """
 
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 
-def primitive_part(coeffs):
-    """(c, a) with sum(coeffs[e] q^e) = c * a(q): c a Fraction, a a
-    primitive integer list with positive lead.
-
-    ``coeffs`` maps nonnegative exponents to nonzero Fractions.
-    """
-    den = lcm(*[c.denominator for c in coeffs.values()])
-    a = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        a[e] = c.numerator * (den // c.denominator)
-    g = gcd(*a)
+def primitive_part(a):
+    """(c, a / c) for a nonzero integer list a: c is the content, signed
+    so that the primitive part has a positive lead."""
+    c = gcd(*a)
     if a[-1] < 0:
-        g = -g
-    return Fraction(g, den), [x // g for x in a]
+        c = -c
+    return c, [x // c for x in a]
 
 
 def exact_quotient(a, b):

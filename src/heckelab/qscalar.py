@@ -1,4 +1,4 @@
-"""Exact scalars: Laurent polynomials in q and the field Q(q).
+"""Exact scalars: the field Q(q) of rational functions of q.
 
 Everything downstream (tensor operators, noncommutative polynomials) is
 generic over the scalar type, and three kinds are provided:
@@ -11,14 +11,16 @@ A ``FieldSpec`` names the scalar kind plus its parameters; ``make_field``
 turns it into a small adapter exposing the constants (zero, one, q, lam)
 and the map from symbolic values into the chosen field.
 
-Canonical form of a ``QScalar``: the numerator is a Laurent polynomial, the
-denominator an ordinary polynomial with constant term 1, and the two are
-coprime (any power of q is shifted into the numerator).  Every value has
-exactly one such representation, so equality and hashing are structural.
-The common factor is cancelled on primitive integer coefficient lists by
-the heuristic gcd ``intpoly.gcd_heu``, exact because it accepts a
-candidate only after dividing both parts by it over Z; Euclid's algorithm
-over Q (``_poly_gcd``) runs only when the heuristic gives up.
+Canonical form of a ``QScalar``: q^shift * N(q) / D(q), with N and D
+tuples of integer coefficients (index = exponent) whose constant terms
+are nonzero, D(0) > 0, and no common factor over Z[q], integer content
+included.  Every value has exactly one such representation, so equality
+and hashing are structural.  The common factor is cancelled by the
+heuristic gcd ``intpoly.gcd_heu``, exact because it accepts a candidate
+only after dividing both parts by it over Z; Euclid's algorithm with
+primitive pseudo-remainders (``_poly_gcd``) runs only when the heuristic
+gives up.  The text form divides N and D by D(0), so that a printed
+denominator has constant term 1.
 
 All scalar kinds interoperate with ``int`` and ``Fraction`` operands, which
 keeps generic code free of explicit zero/one plumbing.
@@ -28,11 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from random import Random
 
-from .intpoly import gcd_heu, primitive_part
-
-Rat = Fraction  # arbitrary-precision rational coefficients
+from .intpoly import exact_quotient, gcd_heu, primitive_part
 
 
 class SpecializationError(ArithmeticError):
@@ -46,214 +47,55 @@ class ScalarParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in q over Q
+# integer coefficient lists (index = exponent)
 # ---------------------------------------------------------------------------
 
-class LaurentQ:
-    """Laurent polynomial in q, stored sparsely as {exponent: Fraction}.
-
-    Zero coefficients are never stored.  Instances are treated as immutable;
-    all operations return fresh objects.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        d = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if not isinstance(c, Fraction):
-                    c = Fraction(c)
-                if c:
-                    d[int(e)] = c
-        self.coeffs = d
-
-    @staticmethod
-    def _raw(d):
-        out = object.__new__(LaurentQ)
-        out.coeffs = d
-        return out
-
-    @classmethod
-    def zero(cls):
-        return _L_ZERO
-
-    @classmethod
-    def one(cls):
-        return _L_ONE
-
-    @classmethod
-    def const(cls, c):
-        return cls({0: c})
-
-    @classmethod
-    def term(cls, c, e):
-        return cls({e: c})
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentQ):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == ({0: Fraction(other)} if other else {})
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __neg__(self):
-        return LaurentQ._raw({e: -c for e, c in self.coeffs.items()})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentQ.const(other)
-        if not isinstance(other, LaurentQ):
-            return NotImplemented
-        d = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = d.get(e)
-            if s is None:
-                d[e] = c
-            else:
-                s = s + c
-                if s:
-                    d[e] = s
-                else:
-                    del d[e]
-        return LaurentQ._raw(d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentQ.const(other)
-        if not isinstance(other, LaurentQ):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return _L_ZERO
-            return LaurentQ._raw({e: v * c for e, v in self.coeffs.items()})
-        if not isinstance(other, LaurentQ):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _L_ZERO
-        if len(a) > len(b):
-            a, b = b, a
-        d = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                s = d.get(e)
-                if s is None:
-                    d[e] = ca * cb
-                else:
-                    s = s + ca * cb
-                    if s:
-                        d[e] = s
-                    else:
-                        del d[e]
-        return LaurentQ._raw(d)
-
-    __rmul__ = __mul__
-
-    def shifted(self, k):
-        """Multiply by q**k."""
-        if k == 0 or not self.coeffs:
-            return self
-        return LaurentQ._raw({e + k: c for e, c in self.coeffs.items()})
-
-    def min_exp(self):
-        return min(self.coeffs) if self.coeffs else None
-
-    def constant_value(self):
-        """The value as a Fraction if this is a constant, else None."""
-        if not self.coeffs:
-            return Fraction(0)
-        if len(self.coeffs) == 1 and 0 in self.coeffs:
-            return self.coeffs[0]
-        return None
-
-    def evaluate(self, q0):
-        """Value at q = q0 (exact Fraction; q0 must be nonzero if any
-        negative exponent is present)."""
-        q0 = Fraction(q0)
-        if not q0 and self.coeffs and min(self.coeffs) < 0:
-            raise SpecializationError("negative power of q at q = 0")
-        acc = Fraction(0)
-        for e, c in self.coeffs.items():
-            acc += c * q0 ** e
-        return acc
-
-    def evaluate_mod(self, q0, prime):
-        """Value at q = q0 in the prime field Z/prime."""
-        acc = 0
-        for e, c in self.coeffs.items():
-            if c.denominator % prime == 0:
-                raise SpecializationError("coefficient %s has no value mod %d"
-                                          % (c, prime))
-            t = c.numerator * pow(c.denominator, -1, prime) % prime
-            acc = (acc + t * pow(q0, e, prime)) % prime
-        return acc % prime
-
-    def __str__(self):
-        return format_laurent(self)
-
-    def __repr__(self):
-        return "LaurentQ(%s)" % format_laurent(self)
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
-_L_ZERO = LaurentQ._raw({})
-_L_ONE = LaurentQ._raw({0: Fraction(1)})
+def _add(a, i, b, j):
+    """q^i a + q^j b."""
+    out = [0] * max(len(a) + i, len(b) + j)
+    out[i:i + len(a)] = a
+    for k, y in enumerate(b, j):
+        out[k] += y
+    return out
 
 
-def _poly_divmod(a, b):
-    """Long division of ordinary polynomials (nonnegative exponents)."""
-    assert b.coeffs, "division by zero polynomial"
-    rem = dict(a.coeffs)
-    db = max(b.coeffs)
-    lead_b = b.coeffs[db]
-    quot = {}
-    while rem:
-        da = max(rem)
-        if da < db:
-            break
-        f = rem[da] / lead_b
-        quot[da - db] = f
-        for e, c in b.coeffs.items():
-            t = da - db + e
-            s = rem.get(t, Fraction(0)) - f * c
-            if s:
-                rem[t] = s
-            else:
-                rem.pop(t, None)
-    return LaurentQ._raw(quot), LaurentQ._raw(rem)
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _poly_gcd(a, b):
-    """Monic gcd of two ordinary polynomials over Q (Euclid's algorithm).
+    """Primitive gcd with positive lead of two nonzero integer lists,
+    by Euclid's algorithm with primitive pseudo-remainders.
 
     The fallback of ``_canonical`` when ``gcd_heu`` gives up, and the
     tests' reference for it.
     """
-    while b.coeffs:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if not a.coeffs:
-        return _L_ONE
-    lead = a.coeffs[max(a.coeffs)]
-    if lead == 1:
-        return a
-    return LaurentQ._raw({e: c / lead for e, c in a.coeffs.items()})
+    a, b = primitive_part(a)[1], primitive_part(b)[1]
+    while len(b) > 1:
+        m, lead = len(b) - 1, b[-1]
+        for i in range(len(a) - 1 - m, -1, -1):
+            f = a[i + m]
+            a = [x * lead for x in a]
+            for j, y in enumerate(b, i):
+                a[j] -= f * y
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return b
+        a, b = b, primitive_part(a)[1]
+    return [1]
 
 
 # ---------------------------------------------------------------------------
@@ -261,41 +103,27 @@ def _poly_gcd(a, b):
 # ---------------------------------------------------------------------------
 
 class QScalar:
-    """Element of Q(q) in canonical form (see module docstring).
+    """Element of Q(q) in canonical form (see module docstring): the value
+    q^shift * num(q) / den(q).  Build values by arithmetic from ``Q_VAR``,
+    ``from_rat`` and ``q_power``."""
 
-    Do not call the constructor with non-canonical parts; use
-    ``QScalar.make`` (or the arithmetic) instead.
-    """
+    __slots__ = ("shift", "num", "den")
 
-    __slots__ = ("num", "den", "_hash")
-
-    def __init__(self, num, den):
+    def __init__(self, shift, num, den):
+        self.shift = shift
         self.num = num
         self.den = den
-        self._hash = None
-
-    @staticmethod
-    def make(num, den=None):
-        """Build a canonical QScalar from Laurent numerator/denominator."""
-        if den is None:
-            den = _L_ONE
-        return _canonical(num, den)
 
     @classmethod
     def from_rat(cls, c):
         c = Fraction(c)
         if not c:
             return Q_ZERO
-        return cls(LaurentQ.const(c), _L_ONE)
+        return cls(0, (c.numerator,), (c.denominator,))
 
     @classmethod
     def q_power(cls, e):
-        return cls(LaurentQ.term(1, e), _L_ONE)
-
-    def constant_value(self):
-        if self.den == _L_ONE:
-            return self.num.constant_value()
-        return None
+        return cls(e, (1,), (1,))
 
     def __bool__(self):
         return bool(self.num)
@@ -304,32 +132,35 @@ class QScalar:
         other = _lift(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.shift == other.shift and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        if self._hash is None:
-            c = self.constant_value()
-            if c is not None:
-                # constants hash like the rational they equal
-                self._hash = hash(c)
-            else:
-                self._hash = hash((frozenset(self.num.coeffs.items()),
-                                   frozenset(self.den.coeffs.items())))
-        return self._hash
+        if not self.num:
+            return hash(0)
+        if self.shift or len(self.num) > 1 or len(self.den) > 1:
+            return hash((self.shift, self.num, self.den))
+        # constants hash like the rational they equal
+        return hash(Fraction(self.num[0], self.den[0]))
 
     def __neg__(self):
-        return QScalar(-self.num, self.den)
+        return QScalar(self.shift, tuple(-x for x in self.num), self.den)
 
     def __add__(self, other):
         other = _lift(other)
         if other is None:
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        s = min(self.shift, other.shift)
         if self.den == other.den:
-            if self.den == _L_ONE:
-                return QScalar(self.num + other.num, _L_ONE)
-            return _canonical(self.num + other.num, self.den)
-        return _canonical(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
+            a, b, den = self.num, other.num, self.den
+        else:
+            a, b = _mul(self.num, other.den), _mul(other.num, self.den)
+            den = _mul(self.den, other.den)
+        return _canonical(s, _add(a, self.shift - s, b, other.shift - s), den)
 
     __radd__ = __add__
 
@@ -346,9 +177,10 @@ class QScalar:
         other = _lift(other)
         if other is None:
             return NotImplemented
-        if self.den == _L_ONE and other.den == _L_ONE:
-            return QScalar(self.num * other.num, _L_ONE)
-        return _canonical(self.num * other.num, self.den * other.den)
+        if not self.num or not other.num:
+            return Q_ZERO
+        return _canonical(self.shift + other.shift, _mul(self.num, other.num),
+                          _mul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -358,7 +190,10 @@ class QScalar:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero in Q(q)")
-        return _canonical(self.num * other.den, self.den * other.num)
+        if not self.num:
+            return Q_ZERO
+        return _canonical(self.shift - other.shift, _mul(self.num, other.den),
+                          _mul(self.den, other.num))
 
     def __rtruediv__(self, other):
         other = _lift(other)
@@ -383,16 +218,21 @@ class QScalar:
     def evaluate(self, q0):
         """Exact value at q = q0 as a Fraction; SpecializationError at poles."""
         q0 = Fraction(q0)
-        den = self.den.evaluate(q0)
+        den = _horner(self.den, q0)
         if not den:
             raise SpecializationError("pole at q = %s" % q0)
-        return self.num.evaluate(q0) / den
+        if not q0 and self.shift < 0:
+            raise SpecializationError("negative power of q at q = 0")
+        return _horner(self.num, q0) * q0 ** self.shift / den
 
     def evaluate_mod(self, q0, prime):
-        den = self.den.evaluate_mod(q0, prime)
+        """Value at q = q0 in the prime field Z/prime, read from the text
+        form, so that the error names the coefficient without a value."""
+        den = _value_mod(self.den, 0, self.den[0], q0, prime)
         if den == 0:
             raise SpecializationError("pole at q = %d (mod %d)" % (q0, prime))
-        return self.num.evaluate_mod(q0, prime) * pow(den, -1, prime) % prime
+        num = _value_mod(self.num, self.shift, self.den[0], q0, prime)
+        return num * pow(den, -1, prime) % prime
 
     def __str__(self):
         return format_scalar(self)
@@ -401,42 +241,45 @@ class QScalar:
         return "QScalar(%s)" % format_scalar(self)
 
 
-def _canonical(num, den):
-    """Reduce num/den (Laurent pair) to canonical form."""
-    if not den.coeffs:
-        raise ZeroDivisionError("zero denominator in Q(q)")
-    if not num.coeffs:
+def _value_mod(coeffs, shift, d0, q0, prime):
+    """sum(coeffs[e] / d0 * q0^(e + shift)) in Z/prime."""
+    acc = 0
+    for e, c in enumerate(coeffs, shift):
+        if c:
+            c = Fraction(c, d0)
+            if c.denominator % prime == 0:
+                raise SpecializationError("coefficient %s has no value mod %d"
+                                          % (c, prime))
+            acc += c.numerator * pow(c.denominator, -1, prime) * pow(q0, e, prime)
+    return acc % prime
+
+
+def _canonical(shift, num, den):
+    """The canonical QScalar equal to q^shift * num / den, for integer
+    lists num and den with den's constant term and lead nonzero."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
         return Q_ZERO
-    # shift all q-powers out of the denominator
-    a = min(den.coeffs)
-    if a:
-        den = den.shifted(-a)
-        num = num.shifted(-a)
-    if den == _L_ONE:
-        return QScalar(num, den)
-    # cancel the polynomial part of the numerator against the denominator,
-    # each a rational content times a primitive integer polynomial
-    b = min(num.coeffs)
-    core = num.shifted(-b) if b else num
-    s, nz = primitive_part(core.coeffs)
-    t, dz = primitive_part(den.coeffs)
-    found = gcd_heu(nz, dz)
+    k = 0
+    while not num[k]:
+        k += 1
+    if k:
+        num, shift = num[k:], shift + k
+    # cancel the integer content, then the primitive gcd
+    cn, pn = primitive_part(num)
+    cd, pd = primitive_part(den)
+    c = gcd(cn, cd)
+    cn, cd = cn // c, cd // c
+    found = gcd_heu(pn, pd)
     if found is None:
-        g = _poly_gcd(core, den)
-        s, nz = primitive_part(_poly_divmod(core, g)[0].coeffs)
-        t, dz = primitive_part(_poly_divmod(den, g)[0].coeffs)
-    elif len(found[0]) == 1 and den.coeffs[0] == 1:
-        return QScalar(num, den)  # coprime, and already normalised
+        g = _poly_gcd(pn, pd)
+        pn, pd = exact_quotient(pn, g), exact_quotient(pd, g)
     else:
-        _, nz, dz = found
-    # normalise: denominator constant term 1
-    c0 = dz[0]
-    s = s / (t * c0)
-    num = LaurentQ._raw({e + b: s * c for e, c in enumerate(nz) if c})
-    if len(dz) == 1:
-        return QScalar(num, _L_ONE)
-    return QScalar(num, LaurentQ._raw({e: Fraction(c, c0)
-                                       for e, c in enumerate(dz) if c}))
+        _, pn, pd = found
+    if cd * pd[0] < 0:
+        cn, cd = -cn, -cd
+    return QScalar(shift, tuple(cn * x for x in pn), tuple(cd * x for x in pd))
 
 
 def _lift(x):
@@ -444,13 +287,11 @@ def _lift(x):
         return x
     if isinstance(x, (int, Fraction)):
         return QScalar.from_rat(x)
-    if isinstance(x, LaurentQ):
-        return QScalar.make(x)
     return None
 
 
-Q_ZERO = QScalar(_L_ZERO, _L_ONE)
-Q_ONE = QScalar(_L_ONE, _L_ONE)
+Q_ZERO = QScalar(0, (), (1,))
+Q_ONE = QScalar(0, (1,), (1,))
 Q_VAR = QScalar.q_power(1)  # the deformation parameter itself
 
 
@@ -469,8 +310,7 @@ def q_number(p):
         return Q_ZERO
     sign = 1 if p > 0 else -1
     n = abs(p)
-    return QScalar(LaurentQ._raw({n - 1 - 2 * j: Fraction(sign) for j in range(n)}),
-                   _L_ONE)
+    return QScalar(1 - n, tuple(sign * (1 - e % 2) for e in range(2 * n - 1)), (1,))
 
 
 def q_factorial(i):
@@ -510,15 +350,16 @@ def _format_rat(c):
     return "%d/%d" % (c.numerator, c.denominator)
 
 
-def format_laurent(x):
-    """Render a LaurentQ as a sum of terms, exponents descending."""
-    if not x.coeffs:
-        return "0"
+def _format_terms(coeffs, shift, d0):
+    """sum(coeffs[e] / d0 * q^(e + shift)), exponents descending."""
     parts = []
-    for e in sorted(x.coeffs, reverse=True):
-        c = x.coeffs[e]
+    for e in range(len(coeffs) - 1, -1, -1):
+        if not coeffs[e]:
+            continue
+        c = Fraction(coeffs[e], d0)
         neg = c < 0
         mag = -c if neg else c
+        e += shift
         if e == 0:
             body = _format_rat(mag)
         else:
@@ -528,7 +369,7 @@ def format_laurent(x):
             parts.append("-" + body if neg else body)
         else:
             parts.append((" - " if neg else " + ") + body)
-    return "".join(parts)
+    return "".join(parts) or "0"
 
 
 def format_scalar(x):
@@ -539,12 +380,19 @@ def format_scalar(x):
         return str(x)
     if isinstance(x, ModInt):
         return str(x.value)
-    if x.den == _L_ONE:
-        return format_laurent(x.num)
-    return "(%s)/(%s)" % (format_laurent(x.num), format_laurent(x.den))
+    num = _format_terms(x.num, x.shift, x.den[0])
+    if len(x.den) == 1:
+        return num
+    return "(%s)/(%s)" % (num, _format_terms(x.den, 0, x.den[0]))
 
 
 _TOKEN_CHARS = set("0123456789q^*/+-() \t\n")
+
+# Bounds on one written scalar, checked before any arithmetic runs: the
+# parser recurses once per parenthesis level, and the sum of the written
+# |exponents| of q bounds the length of every coefficient list it builds.
+MAX_NESTING = 100
+MAX_WRITTEN_DEGREE = 1000
 
 
 def _tokenize(text):
@@ -574,6 +422,8 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
+        self.degree = 0
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else (None, None, len(self.text))
@@ -639,9 +489,14 @@ class _Parser:
     def parse_factor(self):
         k, v, p = self.peek()
         if k == "(":
+            if self.depth == MAX_NESTING:
+                raise ScalarParseError("parentheses nested deeper than %d"
+                                       % MAX_NESTING, p)
             self.take()
+            self.depth += 1
             x = self.parse_sum()
             self.expect(")")
+            self.depth -= 1
             return x
         if k == "q":
             return self.parse_qpow()
@@ -651,21 +506,25 @@ class _Parser:
         return QScalar.from_rat(v)
 
     def parse_qpow(self):
-        self.expect("q")
-        k, _, _ = self.peek()
-        if k != "^":
-            return Q_VAR
-        self.take()
-        k, v, p = self.take()
-        sign = 1
-        if k == "-":
-            sign = -1
+        _, _, pos = self.take()
+        e = 1
+        if self.peek()[0] == "^":
+            self.take()
             k, v, p = self.take()
-        elif k == "+":
-            k, v, p = self.take()
-        if k != "int":
-            raise ScalarParseError("expected integer exponent", p)
-        return QScalar.q_power(sign * v)
+            sign = 1
+            if k == "-":
+                sign = -1
+                k, v, p = self.take()
+            elif k == "+":
+                k, v, p = self.take()
+            if k != "int":
+                raise ScalarParseError("expected integer exponent", p)
+            e = sign * v
+        self.degree += abs(e)
+        if self.degree > MAX_WRITTEN_DEGREE:
+            raise ScalarParseError("written powers of q sum to more than %d"
+                                   % MAX_WRITTEN_DEGREE, pos)
+        return QScalar.q_power(e)
 
 
 def parse_scalar(text):
@@ -674,7 +533,9 @@ def parse_scalar(text):
     Accepted forms: sums of products like ``3*q^2``, ``q^-1``, ``1/2*q``,
     ``7``, ``1/q^2`` and ``(sum)/(sum)``.  ``*`` and ``/`` bind tighter
     than ``+`` and ``-``, so ``q + 1/q`` is q + q^-1.  Whitespace is
-    insignificant.
+    insignificant.  Parentheses nested deeper than ``MAX_NESTING``, and
+    written |exponents| of q (a bare q counts 1) summing to more than
+    ``MAX_WRITTEN_DEGREE``, are parse errors.
     """
     if not isinstance(text, str):
         raise ScalarParseError("expected a string", 0)

@@ -348,6 +348,24 @@ def test_unreadable_and_unparseable_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value, cause", [
+    ("(" * 3000 + "1" + ")" * 3000, "parentheses nested deeper than 100"),
+    ("q^99999999999", "written powers of q sum to more than 1000"),
+    ("q^600 - q^-401", "written powers of q sum to more than 1000"),
+], ids=["nesting", "degree", "degree-sum"])
+def test_unbounded_entry_values_exit_2_without_a_traceback(tmp_path, value, cause):
+    # rejected by the parser, before any arithmetic or recursion runs away
+    doc = json.loads(json.dumps(GOOD_FILE))
+    doc["entries"][4]["value"] = value
+    path = write_file(tmp_path, doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckelab", "validate", "--input", path],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("hecke-lab: entry 4 value: " + cause)
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 @pytest.mark.parametrize("value, field, point", [
     ("1/(q-2)", "evaluated:2", "Q at q = 2: pole at q = 2"),
     ("1/23", "modular:23", "GF(23)"),

@@ -11,8 +11,9 @@ from heckelab import intpoly, qscalar
 from heckelab.intpoly import gcd_heu, primitive_part
 from heckelab.qscalar import (
     DEFAULT_PRIME,
+    MAX_NESTING,
+    MAX_WRITTEN_DEGREE,
     FieldSpec,
-    LaurentQ,
     ModInt,
     QScalar,
     Q_ONE,
@@ -28,54 +29,88 @@ from heckelab.qscalar import (
     q_number,
     sample_modular_qs,
     sample_rational_qs,
+    _canonical,
     _poly_gcd,
 )
 
 
 def L(d):
-    return LaurentQ(d)
+    """The Laurent polynomial sum(c q^e) for d = {e: c}."""
+    return sum((Fraction(c) * Q_VAR ** e for e, c in d.items()), Q_ZERO)
 
 
 def QS(num, den=None):
-    return QScalar.make(L(num), L(den) if den is not None else None)
+    return L(num) if den is None else L(num) / L(den)
+
+
+def parts(x):
+    return x.shift, x.num, x.den
 
 
 # --- canonical form -------------------------------------------------------
 
 def test_canonical_cancels_common_factors():
-    # (q^2 - 1) / (q - 1) = q + 1, by construction through the constructor
+    # (q^2 - 1) / (q - 1) = q + 1
     x = QS({2: 1, 0: -1}, {1: 1, 0: -1})
     assert x == QS({1: 1, 0: 1})
-    assert x.den == LaurentQ.one()
+    assert parts(x) == (0, (1, 1), (1,))
 
 
 def test_canonical_denominator_constant_term_one():
-    # 1 / (2 - q): denominator scaled so that its constant term is 1
+    # 1 / (2 - q) is stored as 1 / (2 - q), with D(0) > 0, and printed
+    # with the denominator scaled to constant term 1
     x = QS({0: 1}, {0: 2, 1: -1})
-    assert x.den.coeffs[0] == 1
+    assert parts(x) == (0, (1,), (2, -1))
+    assert format_scalar(x) == "(1/2)/(-1/2*q + 1)"
     assert x * QS({0: 2, 1: -1}) == 1
+    # the sign goes to the numerator: -1 / (q - 2) is the same value
+    assert parts(Q_ONE / (2 - Q_VAR)) == parts(-1 / (Q_VAR - 2))
 
 
 def test_canonical_shifts_q_powers_into_numerator():
-    # 1/q is a Laurent numerator, not a denominator
+    # 1/q is a power of q, not a denominator
     x = Q_ONE / Q_VAR
-    assert x.den == LaurentQ.one()
-    assert x.num.coeffs == {-1: Fraction(1)}
+    assert parts(x) == (-1, (1,), (1,))
+    assert parts(Q_VAR ** 2 / (Q_VAR ** 3 + Q_VAR)) == (1, (1,), (1, 0, 1))
 
 
 def test_canonical_coprime():
-    x = QS({3: 1, 1: 2, -1: 1}, {2: 1, 0: 3})
-    shift = x.num.min_exp()
-    core = x.num.shifted(-shift)
-    assert _poly_gcd(core, x.den) == LaurentQ.one()
+    x = QS({3: 1, 1: 2, -1: 1}, {2: 1, 0: 3}) * Fraction(4, 6)
+    assert x.num[0] and x.num[-1] and x.den[0] > 0 and x.den[-1]
+    assert _poly_gcd(x.num, x.den) == [1]
+    assert primitive_part(x.num + x.den)[0] == 1  # no common integer content
+
+
+def structural_equality_holds():
+    """Equal values built along different routes have equal parts and
+    hashes; the values include integer contents to cancel."""
+    pairs = [
+        (QS({2: 1, 0: -1}, {1: 1, 0: -1}), QS({1: 1, 0: 1})),
+        (QS({1: 2, 0: 2}, {0: 4}), (Q_VAR + 1) / 2),
+        ((2 * Q_VAR + 2) / (4 * Q_VAR - 6), (Q_VAR + 1) / (2 * Q_VAR - 3)),
+        ((6 * Q_VAR ** 2 - 6) / (9 * Q_VAR + 9), Fraction(2, 3) * (Q_VAR - 1)),
+        (QS({0: 3}, {0: 6}), QScalar.from_rat(Fraction(1, 2))),
+    ]
+    return all(parts(a) == parts(b) and hash(a) == hash(b) for a, b in pairs)
 
 
 def test_equality_is_structural_and_hashable():
-    a = QS({2: 1, 0: -1}, {1: 1, 0: -1})
-    b = QS({1: 1, 0: 1})
-    assert a == b and hash(a) == hash(b)
+    assert structural_equality_holds()
     assert QScalar.from_rat(3) == 3
     assert hash(QScalar.from_rat(Fraction(3, 2))) == hash(Fraction(3, 2))
+    assert hash(QS({0: 3}, {0: 6})) == hash(Fraction(1, 2))
+    assert hash(Q_ZERO) == hash(0) and hash(Q_ONE) == hash(1)
+
+
+def test_structural_equality_needs_the_content_gcd(monkeypatch):
+    # negative control: a canonical form that keeps the integer content
+    # gives equal values different parts
+    def unit_content(a):
+        sign = 1 if a[-1] > 0 else -1
+        return sign, [sign * x for x in a]
+
+    monkeypatch.setattr(qscalar, "primitive_part", unit_content)
+    assert not structural_equality_holds()
 
 
 def test_int_interop():
@@ -97,36 +132,28 @@ def times(a, b):
     return out
 
 
-def poly(coeffs, scale=1):
-    return LaurentQ({e: scale * c for e, c in enumerate(coeffs)})
-
-
-def monic(g):
-    return poly(g, Fraction(1, g[-1]))
-
-
 # small coefficients, and ones beyond 64 bits of either sign
 coefficient = st.one_of(st.integers(-3, 3), st.integers(2**64, 2**70),
                         st.integers(-2**70, -2**64))
 int_poly = st.lists(coefficient, min_size=1, max_size=4).filter(lambda c: c[-1])
+scale = st.integers(-6, 6).filter(bool)
 
 
 @settings(max_examples=150, deadline=None)
-@given(int_poly, int_poly, int_poly,
-       st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
-       st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+@given(int_poly, int_poly, int_poly, scale, scale)
 def test_heuristic_gcd_is_euclids(f, u, v, r, t):
     # a planted common factor f; coprime pairs and constants arise when f,
     # u or v has length one, negative leads from the signs drawn
-    pa, pb = poly(times(f, u), r), poly(times(f, v), t)
-    ca, a = primitive_part(pa.coeffs)
-    cb, b = primitive_part(pb.coeffs)
-    assert poly(a, ca) == pa and poly(b, cb) == pb and a[-1] > 0
+    pa, pb = [r * x for x in times(f, u)], [t * x for x in times(f, v)]
+    ca, a = primitive_part(pa)
+    cb, b = primitive_part(pb)
+    assert [ca * x for x in a] == pa and [cb * x for x in b] == pb
+    assert a[-1] > 0 and primitive_part(a)[0] == 1
     found = gcd_heu(a, b)
     assert found is not None
     g, qa, qb = found
     assert times(g, qa) == a and times(g, qb) == b
-    assert monic(g) == _poly_gcd(pa, pb)
+    assert g == _poly_gcd(pa, pb)
 
 
 @pytest.mark.parametrize("a, b, quotient", [
@@ -155,12 +182,12 @@ def test_heuristic_gcd_needs_the_division_check(monkeypatch):
     # (1 + q)(1 + 3q) and (1 + q)(2 - 2q + q^2): the candidate read from the
     # first evaluation point does not divide both
     a, b = [1, 4, 3], [2, 0, -1, 1]
-    euclid = _poly_gcd(poly(a), poly(b))
-    assert euclid == poly([1, 1])
-    assert monic(gcd_heu(a, b)[0]) == euclid
+    euclid = _poly_gcd(a, b)
+    assert euclid == [1, 1]
+    assert gcd_heu(a, b)[0] == euclid
     # negative control: accepting that first candidate unchecked is wrong
     monkeypatch.setattr(intpoly, "exact_quotient", unchecked_quotient)
-    assert monic(gcd_heu(a, b)[0]) != euclid
+    assert gcd_heu(a, b)[0] != euclid
 
 
 def canonical_sample():
@@ -186,7 +213,7 @@ def test_euclid_fallback_gives_the_same_canonical_forms(monkeypatch):
     slow = canonical_sample()
     assert euclid_calls
     for x, y in zip(fast, slow):
-        assert x.num.coeffs == y.num.coeffs and x.den.coeffs == y.den.coeffs
+        assert parts(x) == parts(y)
         assert format_scalar(x) == format_scalar(y)
 
 
@@ -221,10 +248,12 @@ def test_field_axioms(a, b, c):
 
 
 @settings(max_examples=40, deadline=None)
-@given(qscalars())
-def test_canonicalisation_idempotent(a):
-    again = QScalar.make(a.num, a.den)
-    assert again.num == a.num and again.den == a.den
+@given(qscalars(), st.integers(-4, 4).filter(bool))
+def test_canonicalisation_idempotent(a, c):
+    assert parts(_canonical(a.shift, list(a.num), a.den)) == parts(a)
+    # nor do a common integer factor and q-power padding change the parts
+    padded = [0, 0] + [c * x for x in a.num]
+    assert parts(_canonical(a.shift - 2, padded, [c * x for x in a.den])) == parts(a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -445,9 +474,60 @@ def test_format_examples():
 
 
 @settings(max_examples=60, deadline=None)
-@given(qscalars())
-def test_parse_format_roundtrip(x):
-    assert parse_scalar(format_scalar(x)) == x
+@given(qscalars(), qscalars(), st.integers(-5, 5))
+def test_parse_format_roundtrip(a, b, k):
+    # b^2 + 1 has no root in Q(q); the quotient gives both parts contents
+    # and common factors to cancel
+    x = a * Q_VAR ** k / (b * b + 1)
+    y = parse_scalar(format_scalar(x))
+    assert parts(y) == parts(x) and hash(y) == hash(x)
+
+
+def test_parse_rejects_deep_nesting():
+    ok = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+    assert parse_scalar(ok) == 1
+    deep = "(" * 3000 + "1" + ")" * 3000
+    with pytest.raises(ScalarParseError, match="nested deeper") as err:
+        parse_scalar(deep)
+    assert err.value.pos == MAX_NESTING
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("q^99999999999", 0),
+    ("q^%d + 1" % (MAX_WRITTEN_DEGREE + 1), 0),
+    ("q^600 + 1/q^401", 10),
+    ("q^-500 * q^500 * q", 17),
+], ids=["huge", "one-over", "sum", "bare-q"])
+def test_parse_bounds_the_written_degree(text, pos):
+    # the sum of |exponents| over every q written counts, not the result
+    with pytest.raises(ScalarParseError, match="sum to more than") as err:
+        parse_scalar(text)
+    assert err.value.pos == pos
+
+
+def test_parse_accepts_the_written_degree_bound():
+    half = MAX_WRITTEN_DEGREE // 2
+    assert parse_scalar("q^%d * q^-%d" % (half, half)) == 1
+    assert parse_scalar("q^%d + 1" % MAX_WRITTEN_DEGREE) == \
+        Q_VAR ** MAX_WRITTEN_DEGREE + 1
+
+
+def test_specialisation_errors_name_the_cause():
+    with pytest.raises(SpecializationError, match="^pole at q = 2$"):
+        parse_scalar("1/(q-2)").evaluate(2)
+    with pytest.raises(SpecializationError, match=r"^pole at q = 2 \(mod 7\)$"):
+        parse_scalar("1/(q-2)").evaluate_mod(2, 7)
+    # the coefficient is named as the text form writes it
+    with pytest.raises(SpecializationError,
+                       match="^coefficient 1/23 has no value mod 23$"):
+        parse_scalar("1/23").evaluate_mod(5, 23)
+    with pytest.raises(SpecializationError,
+                       match="^coefficient 2/23 has no value mod 23$"):
+        parse_scalar("(q + 1)/(2*q + 23)").evaluate_mod(5, 23)
+    assert parse_scalar("(q + 1)/(23*q + 2)").evaluate_mod(5, 29) == \
+        6 * pow(117, -1, 29) % 29
+    assert parse_scalar("(q + 1)/(2*q^-1 + 3)").evaluate(Fraction(1, 2)) == \
+        Fraction(3, 2) * Fraction(1, 2) / (2 + Fraction(3, 2))
 
 
 # --- modular scalars --------------------------------------------------------
