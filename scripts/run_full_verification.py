@@ -11,6 +11,12 @@ std:N or perm:N is read as a JSON R-matrix file.  Prints one line per
   python3 scripts/run_full_verification.py --sources std:2 perm:2 --json-dir out/
   python3 scripts/run_full_verification.py --sources tests/gauge-s7.json \
       --commands newton --json-dir out/
+  python3 scripts/run_full_verification.py --sources std:3 std:4 \
+      --commands charpoly structure --field evaluated:3/2 --json-dir out/
+
+--field F applies one field choice (symbolic, sampled:K, modular:P or
+evaluated:Q, as hecke-lab's --field takes it) to every run; without it
+each source gets its size default.
 """
 
 import argparse
@@ -34,6 +40,8 @@ def main(argv=None):
     ap.add_argument("--commands", nargs="+", default=list(COMMANDS),
                     choices=COMMANDS, metavar="command")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--field", default=None,
+                    help="field for every run (default: by source size)")
     ap.add_argument("--json-dir", default=None,
                     help="also dump one JSON report per run")
     ns = ap.parse_args(argv)
@@ -52,7 +60,7 @@ def main(argv=None):
         else:
             given, stem = {"input_path": source}, pathlib.Path(source).stem
         for command in ns.commands:
-            cfg = RunConfig(command, seed=ns.seed, **given)
+            cfg = RunConfig(command, seed=ns.seed, field=ns.field, **given)
             t0 = time.perf_counter()
             try:
                 report = run(cfg)

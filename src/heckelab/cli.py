@@ -477,12 +477,12 @@ def _format_vector(t, axis):
     """A column (axis 0) by its row index or a row (axis 1) by its column
     index."""
     return {",".join(map(str, decode(key[axis], t.dim, t.arity))):
-            format_scalar(v) for key, v in sorted(t.entries.items())}
+            format_scalar(v) for key, v in sorted(t.scalar_entries().items())}
 
 
 def _format_op(t):
     out = {}
-    for (r, c), v in sorted(t.entries.items()):
+    for (r, c), v in sorted(t.scalar_entries().items()):
         row = ",".join(map(str, decode(r, t.dim, t.arity)))
         col = ",".join(map(str, decode(c, t.dim, t.arity)))
         out["%s|%s" % (row, col)] = format_scalar(v)

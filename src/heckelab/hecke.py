@@ -81,9 +81,9 @@ def flip_operator(dim, one):
 
 
 def _first_violation(defect, dim, arity):
-    key = min(defect.entries)
-    r, c = key
-    return (decode(r, dim, arity), decode(c, dim, arity)), defect.entries[key]
+    r, c = min(defect.entries)
+    index = (decode(r, dim, arity), decode(c, dim, arity))
+    return index, defect.entry(*index)
 
 
 class HeckeSymmetry:
@@ -159,7 +159,7 @@ class HeckeSymmetry:
         entry (i, j) of C, or the entry (j, i) of B."""
         d = self.dim
         acc = {}
-        for (r, c), v in self.rt1_inverse().entries.items():
+        for (r, c), v in self.rt1_inverse().scalar_entries().items():
             diag, kept = (c, r) if for_c else (r, c)
             if diag % d != diag // d:
                 continue

@@ -823,9 +823,15 @@ _MODULAR_ORDER_FLOOR = 18
 
 def sample_modular_qs(count, prime, seed):
     """Distinct residues mod prime whose multiplicative order exceeds
-    _MODULAR_ORDER_FLOOR."""
-    if prime < 4:
-        raise SpecializationError("no residue in 2..prime-2 to sample")
+    _MODULAR_ORDER_FLOOR.  The modulus is checked before any draw: it
+    must be an odd prime, and above _MODULAR_ORDER_FLOOR + 1, since every
+    order divides prime - 1."""
+    if prime <= 2 or not is_probable_prime(prime):
+        raise SpecializationError("modulus must be an odd prime")
+    if prime - 1 <= _MODULAR_ORDER_FLOOR:
+        raise SpecializationError(
+            "every residue has multiplicative order at most %d, not above "
+            "the order floor %d" % (prime - 1, _MODULAR_ORDER_FLOOR))
     rng = Random(seed)
     out = []
     seen = set()

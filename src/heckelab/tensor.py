@@ -14,12 +14,16 @@ that genuinely divide (invert, rank1_factor) need field entries.
 Empty sums come back as the plain int 0, which every scalar kind here
 accepts as an absorbing operand.
 
-A product of two operators whose entries are all ModInts of one prime p
-or plain ints runs on the integer residues: each output entry sums its
-products as an unreduced int and is reduced mod p once, and entries
-that reduce to 0 are dropped.  Reduction is a ring homomorphism Z -> Z/p,
-so this is the same sum in Z/p as reducing after every step.  Columns
-and rows are operators too, so their products take the same kernel.
+An operator over GF(p) keeps its entries as plain ints in 1..p-1 and
+carries ``prime = p``; every other operator has ``prime = None``.  The
+constructor puts entries that are ModInts of one prime, possibly mixed
+with plain ints, into this residue form and drops those that are 0 mod
+p.  Two operators of the same prime are added, compared, scaled and
+multiplied on the ints, each sum reduced mod p once, which is the same
+sum in Z/p as reducing after every step.  Scalar reads (entry,
+as_scalar, trace_full, scalar_entries) and the dividing routines see
+ModInts; a residue operator against any other operator is taken
+through the generic loop on those ModInts, so mixed moduli still raise.
 
 A column u over V^(arity) is an operator whose entries all sit in column
 0, and a row v one whose entries all sit in row 0.  So O @ u, v @ O, the
@@ -49,20 +53,22 @@ class NotRankOneError(ArithmeticError):
     pass
 
 
-def _residue_prime(*operators):
-    """The prime p when every entry of the operators is a ModInt mod p or
-    a plain int and at least one is a ModInt; None otherwise."""
+def _residue_form(entries):
+    """(prime, residues) when every entry is a ModInt mod one prime or a
+    plain int and at least one is a ModInt; (None, entries) otherwise."""
     prime = None
-    for op in operators:
-        for v in op.entries.values():
-            if type(v) is ModInt:
-                if prime is None:
-                    prime = v.prime
-                elif v.prime != prime:
-                    return None
-            elif type(v) is not int:
-                return None
-    return prime
+    for v in entries.values():
+        if type(v) is ModInt:
+            if prime is None:
+                prime = v.prime
+            elif v.prime != prime:
+                return None, entries
+        elif type(v) is not int:
+            return None, entries
+    if prime is None:
+        return None, entries
+    return prime, {k: r for k, v in entries.items()
+                   if (r := (v if type(v) is int else v.value) % prime)}
 
 
 def encode(index, dim):
@@ -85,13 +91,26 @@ def decode(flat, dim, arity):
 
 
 class TensorOperator:
-    __slots__ = ("dim", "arity", "size", "entries")
+    __slots__ = ("dim", "arity", "size", "entries", "prime")
 
     def __init__(self, dim, arity, entries=None):
         self.dim = dim
         self.arity = arity
         self.size = dim ** arity
-        self.entries = {} if entries is None else entries
+        self.prime, self.entries = _residue_form({} if entries is None
+                                                 else entries)
+
+    @classmethod
+    def _over(cls, prime, dim, arity, entries):
+        """An operator built without a rescan when prime is set: the
+        entries are then residues in 1..prime-1.  With prime None the
+        constructor tags them."""
+        if prime is None:
+            return cls(dim, arity, entries)
+        op = cls.__new__(cls)
+        op.dim, op.arity, op.size = dim, arity, dim ** arity
+        op.entries, op.prime = entries, prime
+        return op
 
     # -- constructors --------------------------------------------------
 
@@ -115,18 +134,39 @@ class TensorOperator:
 
     # -- basics ----------------------------------------------------------
 
+    def _scalar(self, v):
+        return v if self.prime is None else ModInt(v, self.prime)
+
+    def scalar_entries(self):
+        """The entries as field scalars: ModInts over GF(prime), the
+        stored values otherwise."""
+        if self.prime is None:
+            return self.entries
+        p = self.prime
+        return {k: ModInt(v, p) for k, v in self.entries.items()}
+
     def entry(self, row, col):
         """Entry at 1-based multi-index tuples; 0 when absent."""
-        return self.entries.get((encode(row, self.dim), encode(col, self.dim)), 0)
+        return self._scalar(
+            self.entries.get((encode(row, self.dim), encode(col, self.dim)), 0))
 
     def is_zero(self):
         return not self.entries
 
+    def _operands(self, other):
+        """Both entry maps and their common prime: the stored residues
+        when the primes agree, the field scalars and None otherwise."""
+        if self.prime == other.prime:
+            return self.entries, other.entries, self.prime
+        return self.scalar_entries(), other.scalar_entries(), None
+
     def __eq__(self, other):
         if not isinstance(other, TensorOperator):
             return NotImplemented
-        return (self.dim == other.dim and self.arity == other.arity
-                and self.entries == other.entries)
+        if self.dim != other.dim or self.arity != other.arity:
+            return False
+        a, b, _ = self._operands(other)
+        return a == b
 
     __hash__ = None  # mutable container semantics
 
@@ -134,7 +174,7 @@ class TensorOperator:
         """The (0, 0) entry of an operator with no other entry: a fully
         traced value, or a row paired with a column."""
         assert self.entries.keys() <= {(0, 0)}, "entry off (0, 0)"
-        return self.entries.get((0, 0), 0)
+        return self._scalar(self.entries.get((0, 0), 0))
 
     def _check_same_shape(self, other):
         if self.dim != other.dim or self.arity != other.arity:
@@ -145,18 +185,21 @@ class TensorOperator:
         if not isinstance(other, TensorOperator):
             return NotImplemented
         self._check_same_shape(other)
-        d = dict(self.entries)
-        for k, v in other.entries.items():
+        a, b, p = self._operands(other)
+        d = dict(a)
+        for k, v in b.items():
             s = d.get(k)
             if s is None:
                 d[k] = v
+                continue
+            s = s + v
+            if p:
+                s %= p
+            if s:
+                d[k] = s
             else:
-                s = s + v
-                if s:
-                    d[k] = s
-                else:
-                    del d[k]
-        return TensorOperator(self.dim, self.arity, d)
+                del d[k]
+        return TensorOperator._over(p, self.dim, self.arity, d)
 
     def __sub__(self, other):
         if not isinstance(other, TensorOperator):
@@ -164,14 +207,25 @@ class TensorOperator:
         return self + (-other)
 
     def __neg__(self):
-        return TensorOperator(self.dim, self.arity,
-                              {k: -v for k, v in self.entries.items()})
+        p = self.prime
+        if p is None:
+            return TensorOperator(self.dim, self.arity,
+                                  {k: -v for k, v in self.entries.items()})
+        return TensorOperator._over(p, self.dim, self.arity,
+                                    {k: p - v for k, v in self.entries.items()})
 
     def scaled(self, c):
+        p = self.prime
+        if p is not None and (type(c) is int
+                              or type(c) is ModInt and c.prime == p):
+            c = (c if type(c) is int else c.value) % p
+            return TensorOperator._over(
+                p, self.dim, self.arity,
+                {k: v * c % p for k, v in self.entries.items()} if c else {})
         if not c:
             return TensorOperator.zero(self.dim, self.arity)
         return TensorOperator(self.dim, self.arity,
-                              {k: c * v for k, v in self.entries.items()})
+                              {k: c * v for k, v in self.scalar_entries().items()})
 
     def __rmul__(self, c):
         if isinstance(c, TensorOperator):
@@ -182,24 +236,24 @@ class TensorOperator:
         if not isinstance(other, TensorOperator):
             return NotImplemented
         self._check_same_shape(other)
-        prime = _residue_prime(self, other)
-        if prime is not None:
-            return self._matmul_mod(other, prime)
+        a, b, p = self._operands(other)
+        if p is not None:
+            return self._matmul_mod(other, p)
         rows = {}
-        for (r, c), v in other.entries.items():
+        for (r, c), v in b.items():
             rows.setdefault(r, []).append((c, v))
         acc = {}
-        for (i, k), a in self.entries.items():
+        for (i, k), x in a.items():
             hits = rows.get(k)
             if not hits:
                 continue
-            for j, b in hits:
+            for j, y in hits:
                 key = (i, j)
                 s = acc.get(key)
                 if s is None:
-                    s = a * b
+                    s = x * y
                 else:
-                    s = s + a * b
+                    s = s + x * y
                 if s:
                     acc[key] = s
                 else:
@@ -207,32 +261,23 @@ class TensorOperator:
         return TensorOperator(self.dim, self.arity, acc)
 
     def _matmul_mod(self, other, prime):
-        """self @ other over GF(prime), on plain residues: each output
-        entry sums its products as an int and is reduced once."""
+        """self @ other over GF(prime), on the residues: each output entry
+        sums its products as an int and is reduced once."""
         rows = {}
         for (r, c), v in other.entries.items():
-            rows.setdefault(r, []).append((c, v if type(v) is int else v.value))
+            rows.setdefault(r, []).append((c, v))
         acc = {}
         get = acc.get
         for (i, k), a in self.entries.items():
             hits = rows.get(k)
             if not hits:
                 continue
-            if type(a) is not int:
-                a = a.value
             for j, b in hits:
                 key = (i, j)
                 acc[key] = get(key, 0) + a * b
-        zeros = []
-        for key, s in acc.items():
-            s %= prime
-            if s:
-                acc[key] = ModInt(s, prime)
-            else:
-                zeros.append(key)
-        for key in zeros:
-            del acc[key]
-        return TensorOperator(self.dim, self.arity, acc)
+        return TensorOperator._over(
+            prime, self.dim, self.arity,
+            {key: r for key, s in acc.items() if (r := s % prime)})
 
     # -- tensor-structure operations --------------------------------------
 
@@ -253,7 +298,7 @@ class TensorOperator:
                 off = high * shift
                 for low in range(low_size):
                     entries[(rbase + off + low, cbase + off + low)] = v
-        return TensorOperator(self.dim, total, entries)
+        return TensorOperator._over(self.prime, self.dim, total, entries)
 
     def partial_transpose_slot1(self):
         """Swap the slot-1 row digit with the slot-1 column digit."""
@@ -263,14 +308,14 @@ class TensorOperator:
             r1, rrest = r % d, r - r % d
             c1, crest = c % d, c - c % d
             entries[(rrest + c1, crest + r1)] = v
-        return TensorOperator(self.dim, self.arity, entries)
+        return TensorOperator._over(self.prime, self.dim, self.arity, entries)
 
     def trace_full(self):
         acc = 0
         for (r, c), v in self.entries.items():
             if r == c:
                 acc = acc + v
-        return acc
+        return self._scalar(acc)
 
     def trace_slots(self, slots):
         """Ordinary partial trace over the named (1-based) slots."""
@@ -278,6 +323,7 @@ class TensorOperator:
         assert all(1 <= s <= self.arity for s in slots)
         keep = [s for s in range(1, self.arity + 1) if s not in slots]
         d = self.dim
+        p = self.prime
         acc = {}
         for (r, c), v in self.entries.items():
             rd = decode(r, d, self.arity)
@@ -288,20 +334,22 @@ class TensorOperator:
                    encode(tuple(cd[s - 1] for s in keep), d))
             s0 = acc.get(key)
             if s0 is None:
-                s0 = v
-            else:
-                s0 = s0 + v
+                acc[key] = v
+                continue
+            s0 = s0 + v
+            if p:
+                s0 %= p
             if s0:
                 acc[key] = s0
             else:
-                acc.pop(key, None)
-        return TensorOperator(d, len(keep), acc)
+                del acc[key]
+        return TensorOperator._over(p, d, len(keep), acc)
 
     # -- field-entry operations -------------------------------------------
 
     def to_dense(self):
         rows = [[0] * self.size for _ in range(self.size)]
-        for (r, c), v in self.entries.items():
+        for (r, c), v in self.scalar_entries().items():
             rows[r][c] = v
         return rows
 
@@ -314,7 +362,8 @@ class TensorOperator:
         n = self.size
         a = self.to_dense()
         inv = [[0] * n for _ in range(n)]
-        one = next(iter(self.entries.values())) ** 0 if self.entries else 1
+        one = (self._scalar(next(iter(self.entries.values()))) ** 0
+               if self.entries else 1)
         for i in range(n):
             inv[i][i] = one
         for col in range(n):
@@ -370,8 +419,9 @@ class TensorOperator:
         """
         if not self.entries:
             raise NotRankOneError("zero operator")
+        scalars = self.scalar_entries()
         cols = {}
-        for (r, c), v in self.entries.items():
+        for (r, c), v in scalars.items():
             cols.setdefault(c, {})[r] = v
         cstar = min(cols)
         column = cols[cstar]
@@ -380,7 +430,7 @@ class TensorOperator:
         u = TensorOperator(self.dim, self.arity,
                            {(r, 0): v / anchor for r, v in column.items()})
         v = TensorOperator(self.dim, self.arity,
-                           {(0, c): v for (r, c), v in self.entries.items()
+                           {(0, c): v for (r, c), v in scalars.items()
                             if r == rstar})
         pairing = (v @ u).as_scalar()
         if not pairing:

@@ -264,13 +264,37 @@ def test_perm_builtin_is_bounded_like_std(monkeypatch, capsys):
     assert load_source(RunConfig("rank", builtin="perm:4")).dim == 4
 
 
-@pytest.mark.parametrize("prime", [0, 1, 2, 3])
+# The reason each modulus is refused: not an odd prime, or a prime whose
+# p - 1 <= 18 admits no residue of order above the order floor.
+TINY_MODULI = {0: "odd prime", 1: "odd prime", 2: "odd prime", 4: "odd prime",
+               9: "odd prime", 25: "odd prime", 3: "order floor 18",
+               5: "order floor 18", 7: "order floor 18", 19: "order floor 18"}
+
+
+@pytest.mark.parametrize("prime", sorted(TINY_MODULI))
 def test_tiny_modulus_is_config_error(prime, capsys):
     assert main(["validate", "--builtin", "std:2",
                  "--field", "modular:%d" % prime]) == 2
     err = capsys.readouterr().err
-    assert "bad modulus" in err
+    assert "bad modulus %d" % prime in err
+    assert TINY_MODULI[prime] in err
+    assert "could not sample" not in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["rank", "structure"])
+def test_std3_at_a_small_prime_passes_every_check(command):
+    # at p = 10007 accidental zero sums mod p are common, so entries that
+    # cancel must drop out of every operator the checks build
+    report = run(RunConfig(command, builtin="std:3", field="modular:10007"))
+    assert report.passed
+    assert report.checks
+    assert all(c.status == "verified-at-5-points" for c in report.checks)
+
+
+def test_smallest_modulus_above_the_order_floor_runs(capsys):
+    assert main(["validate", "--builtin", "std:2", "--field", "modular:23"]) == 0
+    assert "verified-at-5-points" in capsys.readouterr().out
 
 
 # -- input files -------------------------------------------------------------

@@ -135,6 +135,19 @@ def test_weight_trace_value_dim2(std2):
     assert want == q_number(2) / QScalar.q_power(2)
 
 
+def test_modular_weights_are_residues_matching_symbolic(std3):
+    # over GF(p) the weight matrices keep the residue form, and their
+    # entries are the symbolic ones evaluated mod p
+    f = make_field(FieldSpec.modular(10007, 5))
+    h = builtin_standard(3, f)
+    for sym, mod in ((std3.matrix_c(), h.matrix_c()),
+                     (std3.matrix_b(), h.matrix_b())):
+        assert mod.prime == 10007
+        want = {k: f.from_qscalar(v) for k, v in sym.entries.items()}
+        assert mod.scalar_entries() == {k: v for k, v in want.items() if v}
+    assert h.R.prime == h.antisymmetrizer(3).prime == 10007
+
+
 def test_b_c_product_is_scalar_dim2(std2):
     bc = std2.matrix_b() @ std2.matrix_c()
     assert bc == TensorOperator.identity(2, 1, SYM.one).scaled(QScalar.q_power(-4))

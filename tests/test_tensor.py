@@ -1,10 +1,11 @@
 """Sparse tensor operators against brute-force dense oracles."""
 
+import itertools
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heckelab.ncalgebra import NCPoly
@@ -261,7 +262,16 @@ def test_invert_modular():
     inv = a.invert()
     one = TensorOperator.identity(2, 1, ModInt(1, 7))
     assert a @ inv == one and inv @ a == one
-    assert all(isinstance(v, ModInt) for v in inv.entries.values())
+    # [[0, 3], [5, 2]]^-1 = 6^-1 [[2, -3], [-5, 0]] = [[5, 3], [5, 0]] mod 7,
+    # stored as residues with the prime on the operator
+    assert inv.prime == 7
+    assert inv.entries == {(0, 0): 5, (0, 1): 3, (1, 0): 5}
+    assert all(type(v) is int for v in inv.entries.values())
+    for r in (1, 2):
+        for c in (1, 2):
+            x = inv.entry((r,), (c,))
+            assert type(x) is ModInt and x.prime == 7
+    assert inv.entry((2,), (1,)).value == 5 and inv.entry((2,), (2,)).value == 0
 
 
 def test_invert_first_pivot_not_one():
@@ -379,20 +389,25 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def reference_product(a, b, zero):
-    """a @ b as a dense product, each sum started from the field's zero
-    (ModInt(0, p) or Fraction(0)), zeros dropped."""
+def dict_product(x, y, size, zero):
+    """The product of two entry maps as a dense product, each sum started
+    from zero (ModInt(0, p), Fraction(0) or 0), zeros dropped."""
     out = {}
-    for i in range(a.size):
-        for j in range(a.size):
+    for i in range(size):
+        for j in range(size):
             s = zero
-            for k in range(a.size):
-                x, y = a.entries.get((i, k)), b.entries.get((k, j))
-                if x is not None and y is not None:
-                    s = s + x * y
+            for k in range(size):
+                u, v = x.get((i, k)), y.get((k, j))
+                if u is not None and v is not None:
+                    s = s + u * v
             if s:
                 out[(i, j)] = s
     return out
+
+
+def reference_product(a, b, zero):
+    """a @ b on the operators' field-scalar entries, densely."""
+    return dict_product(a.scalar_entries(), b.scalar_entries(), a.size, zero)
 
 
 @st.composite
@@ -414,9 +429,12 @@ def residue_operators(draw, p, dim=2, arity=2):
 def test_residue_product_matches_modint_reference(case):
     p, a, b = case
     got = a @ b
-    assert got.entries == reference_product(a, b, ModInt(0, p))
+    want = reference_product(a, b, ModInt(0, p))
+    assert got.prime == p
+    assert all(type(v) is int and 0 < v < p for v in got.entries.values())
+    assert got.entries == {k: v.value for k, v in want.items()}
     assert all(type(v) is ModInt and v.prime == p and v.value
-               for v in got.entries.values())
+               for v in got.scalar_entries().values())
 
 
 @pytest.mark.parametrize("p, a0, a1, b0, b1", [
@@ -435,10 +453,14 @@ def test_residue_product_cancelling_mod_p_is_zero(p, a0, a1, b0, b1,
 
 
 def test_mixed_moduli_still_fail():
+    # b shares a's keys, so == has to compare the values
     a = TensorOperator(2, 1, {(0, 0): ModInt(3, 7), (0, 1): ModInt(1, 7)})
-    b = TensorOperator(2, 1, {(0, 0): ModInt(4, 11), (1, 0): ModInt(1, 11)})
-    with pytest.raises(AssertionError, match="mixed moduli"):
-        a @ b
+    b = TensorOperator(2, 1, {(0, 0): ModInt(4, 11), (0, 1): ModInt(1, 11)})
+    c = TensorOperator(2, 1, {(0, 0): ModInt(4, 11), (1, 0): ModInt(1, 11)})
+    for op in (lambda: a @ c, lambda: c @ a, lambda: a + b, lambda: a - b,
+               lambda: a == b, lambda: a.scaled(ModInt(2, 11))):
+        with pytest.raises(AssertionError, match="mixed moduli"):
+            op()
 
 
 @pytest.mark.parametrize("one, q", [
@@ -508,3 +530,216 @@ def test_as_scalar_rejects_an_entry_off_the_corner():
     assert (v @ u).as_scalar() == 3
     with pytest.raises(AssertionError, match=r"entry off \(0, 0\)"):
         (u @ v).as_scalar()
+
+
+# --- GF(p) operators in residue form against ModInt-entry references ----------
+
+def as_modints(entries, p):
+    """A raw entry map read as nonzero ModInts mod p: what an operator
+    built from it must hold."""
+    out = {}
+    for k, v in entries.items():
+        v = ModInt(0, p) + v
+        if v:
+            out[k] = v
+    return out
+
+
+def assert_residues(op, p, want):
+    """op is stored as ints in 1..p-1 with op.prime == p and equals the
+    ModInt-entry map want."""
+    assert op.prime == p
+    assert all(type(v) is int and 0 < v < p for v in op.entries.values())
+    assert op.entries == {k: v.value for k, v in want.items()}
+    assert op.scalar_entries() == want
+
+
+def ref_add(x, y, zero):
+    out = {}
+    for k in x.keys() | y.keys():
+        s = x.get(k, zero) + y.get(k, zero)
+        if s:
+            out[k] = s
+    return out
+
+
+def ref_embed(x, dim, arity, slot, total):
+    out = {}
+    inside = range(slot - 1, slot - 1 + arity)
+    for r in range(dim ** total):
+        for c in range(dim ** total):
+            rd, cd = decode(r, dim, total), decode(c, dim, total)
+            if any(rd[t] != cd[t] for t in range(total) if t not in inside):
+                continue
+            v = x.get((encode(rd[inside.start:inside.stop], dim),
+                       encode(cd[inside.start:inside.stop], dim)))
+            if v:
+                out[(r, c)] = v
+    return out
+
+
+def ref_transpose_slot1(x, dim, arity):
+    out = {}
+    for (r, c), v in x.items():
+        rd, cd = list(decode(r, dim, arity)), list(decode(c, dim, arity))
+        rd[0], cd[0] = cd[0], rd[0]
+        out[(encode(rd, dim), encode(cd, dim))] = v
+    return out
+
+
+def ref_trace_slots(x, dim, arity, slots, zero):
+    keep = [t for t in range(arity) if t + 1 not in slots]
+    out = {}
+    for (r, c), v in x.items():
+        rd, cd = decode(r, dim, arity), decode(c, dim, arity)
+        if any(rd[s - 1] != cd[s - 1] for s in slots):
+            continue
+        key = (encode([rd[t] for t in keep], dim),
+               encode([cd[t] for t in keep], dim))
+        out[key] = out.get(key, zero) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_det(x, size, zero):
+    """Leibniz determinant of a dense entry map."""
+    total = zero
+    for perm in itertools.permutations(range(size)):
+        term = zero + 1
+        for i, j in enumerate(perm):
+            term = term * x.get((i, j), zero)
+        inversions = sum(perm[i] > perm[j] for i in range(size)
+                         for j in range(i + 1, size))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@st.composite
+def residue_cases(draw):
+    """(p, raw_a, raw_b, c): two entry maps on V^2 at dim 2 mixing ModInts
+    mod p with plain ints (some multiples of p), each with at least one
+    ModInt, where raw_b cancels raw_a at one planted key, and a scalar c
+    that is a ModInt or a plain int (possibly 0 mod p)."""
+    p = draw(st.sampled_from([7, DEFAULT_PRIME]))
+    key = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    elem = st.integers(1, p - 1).map(lambda v: ModInt(v, p))
+    value = st.one_of(elem, st.integers(-2 * p, 2 * p).filter(bool))
+    raw_a = draw(st.dictionaries(key, value, max_size=16))
+    raw_b = draw(st.dictionaries(key, value, max_size=16))
+    raw_a[draw(key)] = draw(elem)
+    planted = draw(key)
+    x = draw(elem)
+    raw_a[planted], raw_b[planted] = x, ModInt(p - x.value, p)
+    c = draw(st.one_of(elem, st.integers(-2 * p, 2 * p)))
+    return p, raw_a, raw_b, c, planted
+
+
+@settings(max_examples=60, deadline=None)
+@given(residue_cases())
+def test_residue_operations_match_modint_reference(case):
+    p, raw_a, raw_b, c, planted = case
+    zero = ModInt(0, p)
+    a, b = TensorOperator(2, 2, raw_a), TensorOperator(2, 2, raw_b)
+    x, y = as_modints(raw_a, p), as_modints(raw_b, p)
+    assert_residues(a, p, x)
+    assert_residues(b, p, y)
+
+    assert_residues(a @ b, p, dict_product(x, y, 4, zero))
+    total = a + b
+    assert_residues(total, p, ref_add(x, y, zero))
+    assert planted not in total.entries  # a + (p - a) drops the entry
+    assert_residues(a - b, p, ref_add(x, {k: -v for k, v in y.items()}, zero))
+    assert_residues(-a, p, {k: -v for k, v in x.items()})
+    assert (a - a).is_zero() and (a - a).prime == p
+    assert_residues(a.scaled(c), p, {k: v * c for k, v in x.items() if v * c})
+    assert a.scaled(p).is_zero() and a.scaled(ModInt(p, p)).is_zero()
+    assert (a == b) == (x == y)
+    assert a == TensorOperator(2, 2, dict(x))
+    assert a != a + TensorOperator(2, 2, {(0, 0): ModInt(1, p)})
+
+    for slot, total_arity in ((1, 3), (2, 3), (1, 2)):
+        assert_residues(a.embed(slot, total_arity), p,
+                        ref_embed(x, 2, 2, slot, total_arity))
+    assert_residues(a.partial_transpose_slot1(), p, ref_transpose_slot1(x, 2, 2))
+    for slots in ([1], [2], [1, 2]):
+        assert_residues(a.trace_slots(slots), p,
+                        ref_trace_slots(x, 2, 2, slots, zero))
+
+    reads = [a.trace_full(), a.trace_slots([1, 2]).as_scalar()]
+    reads += [a.entry(decode(r, 2, 2), decode(k, 2, 2))
+              for r in range(4) for k in range(4)]
+    assert all(type(v) is ModInt and v.prime == p for v in reads)
+    assert reads[0] == reads[1] == sum((x.get((i, i), zero) for i in range(4)),
+                                       zero)
+    assert reads[2:] == [x.get((r, k), zero) for r in range(4) for k in range(4)]
+    assert all(type(v) is ModInt for row in a.to_dense() for v in row if v)
+
+    if ref_det(x, 4, zero):
+        inv = a.invert()
+        identity = {(i, i): ModInt(1, p) for i in range(4)}
+        assert inv.prime == p
+        assert dict_product(x, inv.scalar_entries(), 4, zero) == identity
+        assert_residues(inv, p, inv.scalar_entries())
+    else:
+        with pytest.raises(NotInvertibleError):
+            a.invert()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([7, DEFAULT_PRIME]).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.dictionaries(st.integers(0, 3), st.integers(1, p - 1), min_size=1),
+    st.dictionaries(st.integers(0, 3), st.integers(1, p - 1), min_size=1))))
+def test_residue_rank1_factor_matches_modint_reference(case):
+    # the planted idempotent u w / (w u), for any column u and row w
+    # whose pairing is nonzero
+    p, col, row = case
+    pairing = sum((ModInt(col[i], p) * row[i] for i in col.keys() & row.keys()),
+                  ModInt(0, p))
+    assume(pairing)
+    want = {(r, c): ModInt(col[r], p) * row[c] / pairing
+            for r in col for c in row}
+    u, v = TensorOperator(2, 2, want).rank1_factor()
+    assert_residues(u, p, u.scalar_entries())
+    assert_residues(v, p, v.scalar_entries())
+    assert dict_product(u.scalar_entries(), v.scalar_entries(), 4,
+                        ModInt(0, p)) == want
+    one = (v @ u).as_scalar()
+    assert type(one) is ModInt and one == ModInt(1, p)
+    assert u.entries[min(u.entries)] == 1
+
+
+@pytest.mark.parametrize("other", [
+    {(0, 0): Fraction(2, 3), (1, 0): Fraction(-5), (1, 1): Fraction(1, 4)},
+    {(0, 0): NCPoly.generator(1, 2), (1, 1): NCPoly.const(3)},
+], ids=["Fraction", "NCPoly"])
+def test_residue_against_other_entries_takes_the_generic_loop(other,
+                                                              kernel_calls):
+    p = 7
+    raw = {(0, 0): ModInt(3, p), (0, 1): ModInt(6, p), (1, 1): 9}
+    a, o = TensorOperator(2, 1, raw), TensorOperator(2, 1, other)
+    zero = ModInt(0, p) if type(other[(0, 0)]) is Fraction else 0
+    assert (a @ o).scalar_entries() == dict_product(as_modints(raw, p), other,
+                                                    2, zero)
+    assert (o @ a).scalar_entries() == dict_product(other, as_modints(raw, p),
+                                                    2, zero)
+    assert kernel_calls == []
+
+
+def test_residue_add_product_and_compare_build_no_modint(monkeypatch):
+    a = TensorOperator(2, 2, {(i, j): ModInt(3 * i + j + 1, 7)
+                              for i in range(4) for j in range(4)})
+    b = a.scaled(ModInt(3, 7)) + TensorOperator.identity(2, 2, ModInt(1, 7))
+    built = []
+    init = ModInt.__init__
+
+    def spy(self, value, prime):
+        built.append((value, prime))
+        init(self, value, prime)
+
+    monkeypatch.setattr(ModInt, "__init__", spy)
+    prod, total, same = a @ b, a + b, a == b
+    assert built == []
+    monkeypatch.undo()
+    assert not same and prod.prime == total.prime == 7
+    assert prod.scalar_entries() == dict_product(
+        a.scalar_entries(), b.scalar_entries(), 4, ModInt(0, 7))
