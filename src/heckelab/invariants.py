@@ -269,7 +269,7 @@ def eigen_relation_check(h, components, cols):
         op = h.r_slot(i, p) + shift
         for k, col in enumerate(cols):
             moved = op @ col
-            for val in moved.entries.values():
+            for val in moved.scalar_entries().values():
                 if not isinstance(val, NCPoly):
                     val = NCPoly.const(val)
                 if not member_at_degree(val, components)[0]:
