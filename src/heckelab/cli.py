@@ -184,11 +184,6 @@ class FieldPlan:
     specs: list                  # FieldSpec per point
     prime: int = None
 
-    def pass_status(self):
-        if len(self.specs) == 1:
-            return "proved"
-        return "verified-at-%d-points" % len(self.specs)
-
     def point_names(self):
         out = []
         for s in self.specs:
@@ -231,12 +226,13 @@ def resolve_field(cfg, src):
             raise ConfigError(str(e))
         return FieldPlan(choice, [FieldSpec.evaluated(q) for q in qs])
     if kind == "modular" and arg.isdigit():
-        prime = int(arg)
         try:
+            # int() refuses more digits than sys.get_int_max_str_digits()
+            prime = int(arg)
             qs = sample_modular_qs(MODULAR_POINTS, prime, cfg.seed)
             specs = [FieldSpec.modular(prime, q) for q in qs]
-        except ArithmeticError as e:
-            raise ConfigError("bad modulus %d: %s" % (prime, e))
+        except (ArithmeticError, ValueError) as e:
+            raise ConfigError("bad modulus %s: %s" % (arg, e))
         return FieldPlan(choice, specs, prime=prime)
     raise ConfigError("--field takes symbolic, sampled:K, modular:P or "
                       "evaluated:Q, got %r" % choice)
@@ -428,14 +424,15 @@ class Report:
 
 
 def _merge_points(plan, point_checks, timings):
-    """Fold the per-point checks into one record per check name.
-    Point order is the sampling order, so merging is deterministic."""
+    """Fold the per-point checks into one record per check name.  A check
+    that passed is `proved` on a one-point plan, and otherwise verified
+    at the points that evaluated it.  Point order is the sampling order,
+    so merging is deterministic."""
     by_name = {}
     for specno, checks in enumerate(point_checks):
         for c in checks:
             by_name.setdefault(c.name, []).append((specno, c))
     merged = []
-    pass_status = plan.pass_status()
     names = plan.point_names()
     share = sum(timings) / max(len(by_name), 1)
     for name in sorted(by_name):
@@ -450,7 +447,9 @@ def _merge_points(plan, point_checks, timings):
             merged.append(CheckRecord(name, "skipped", skips[0], share))
         else:
             wit = rows[0][1].witness if len({c.witness for _, c in rows}) == 1 else None
-            merged.append(CheckRecord(name, pass_status, wit, share))
+            status = ("proved" if len(plan.specs) == 1
+                      else "verified-at-%d-points" % len(rows))
+            merged.append(CheckRecord(name, status, wit, share))
     return merged
 
 

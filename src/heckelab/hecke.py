@@ -30,6 +30,7 @@ from .tensor import (
     NotInvertibleError,
     NotRankOneError,
     TensorOperator,
+    _settled,
     decode,
 )
 
@@ -158,19 +159,16 @@ class HeckeSymmetry:
         (for B) is a diagonal pair (k, k); the other index (j, i) gives the
         entry (i, j) of C, or the entry (j, i) of B."""
         d = self.dim
+        inv = self.rt1_inverse()
         acc = {}
-        for (r, c), v in self.rt1_inverse().scalar_entries().items():
+        for (r, c), v in inv.entries.items():
             diag, kept = (c, r) if for_c else (r, c)
             if diag % d != diag // d:
                 continue
             key = (kept // d, kept % d) if for_c else (kept % d, kept // d)
             s = acc.get(key)
-            s = v if s is None else s + v
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-        return TensorOperator(d, 1, acc)
+            acc[key] = v if s is None else s + v
+        return TensorOperator._over(inv.prime, d, 1, _settled(inv.prime, acc))
 
     def quantum_trace(self, m):
         """Tr_q M = Tr(C M); M may have noncommutative entries."""

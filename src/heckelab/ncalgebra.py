@@ -30,7 +30,7 @@ import itertools
 from fractions import Fraction
 
 from .qscalar import format_scalar
-from .tensor import TensorOperator
+from .tensor import TensorOperator, _settled
 
 DEFAULT_COLUMN_CAP = 20000
 
@@ -134,28 +134,15 @@ class NCPoly:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = ma + mb
-                c = ca * cb
                 s = acc.get(m)
-                s = c if s is None else s + c
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
-        return NCPoly(acc)
+                acc[m] = ca * cb if s is None else s + ca * cb
+        return NCPoly(_settled(None, acc))
 
     def __rmul__(self, other):
         # only scalars land here, and scalars are central
         if not other:
             return NCPoly()
         return NCPoly({m: other * c for m, c in self.terms.items()})
-
-    def map_coefficients(self, fn):
-        d = {}
-        for m, c in self.terms.items():
-            w = fn(c)
-            if w:
-                d[m] = w
-        return NCPoly(d)
 
     def lead(self):
         """(monomial, coeff) at the deglex-smallest monomial."""
@@ -236,9 +223,6 @@ class EchelonBasis:
     def __init__(self, degree=None):
         self.degree = degree
         self.rows = {}
-
-    def __len__(self):
-        return len(self.rows)
 
     @property
     def rank(self):
@@ -430,14 +414,9 @@ def _combine(parts, nf):
     acc = {}
     for w, c in parts:
         for m, e in nf(w).terms.items():
-            v = c * e
             s = acc.get(m)
-            s = v if s is None else s + v
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-    return NCPoly(acc)
+            acc[m] = c * e if s is None else s + c * e
+    return NCPoly(_settled(None, acc))
 
 
 class DegreeView:

@@ -651,18 +651,28 @@ class ModInt:
 DEFAULT_PRIME = (1 << 61) - 1
 
 
+# psi_13, the least strong pseudoprime to all 13 prime bases 2..41
+# (J. Sorenson and J. Webster, Math. Comp. 86, 2017)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_probable_prime(n):
-    """Miller-Rabin; deterministic for n < 3.3e24 with this base set."""
+    """Miller-Rabin to the 13 prime bases 2..41.  Exact for n below
+    PRIME_TEST_BOUND = psi_13; without base 41 it would already accept
+    the composite psi_12 = 399165290221 * 798330580441.  At and above
+    the bound a composite can pass, so a modulus there is refused."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _PRIME_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -673,6 +683,17 @@ def is_probable_prime(n):
         else:
             return False
     return True
+
+
+def _check_modulus(p):
+    """Refuse p unless it is an odd prime that is_probable_prime decides
+    exactly."""
+    if p >= PRIME_TEST_BOUND:
+        raise SpecializationError(
+            "modulus must be below %d, the bound up to which its primality "
+            "is decided exactly" % PRIME_TEST_BOUND)
+    if p <= 2 or not is_probable_prime(p):
+        raise SpecializationError("modulus must be an odd prime")
 
 
 @dataclass(frozen=True)
@@ -699,8 +720,7 @@ class FieldSpec:
                 raise SpecializationError("q = 0 is not a valid evaluation")
         elif self.mode == "modular":
             p = int(self.prime)
-            if p <= 2 or not is_probable_prime(p):
-                raise SpecializationError("modulus must be an odd prime")
+            _check_modulus(p)
             q = int(self.q) % p
             object.__setattr__(self, "q", q)
             object.__setattr__(self, "prime", p)
@@ -824,10 +844,9 @@ _MODULAR_ORDER_FLOOR = 18
 def sample_modular_qs(count, prime, seed):
     """Distinct residues mod prime whose multiplicative order exceeds
     _MODULAR_ORDER_FLOOR.  The modulus is checked before any draw: it
-    must be an odd prime, and above _MODULAR_ORDER_FLOOR + 1, since every
-    order divides prime - 1."""
-    if prime <= 2 or not is_probable_prime(prime):
-        raise SpecializationError("modulus must be an odd prime")
+    must be an odd prime below PRIME_TEST_BOUND, and above
+    _MODULAR_ORDER_FLOOR + 1, since every order divides prime - 1."""
+    _check_modulus(prime)
     if prime - 1 <= _MODULAR_ORDER_FLOOR:
         raise SpecializationError(
             "every residue has multiplicative order at most %d, not above "

@@ -19,11 +19,16 @@ carries ``prime = p``; every other operator has ``prime = None``.  The
 constructor puts entries that are ModInts of one prime, possibly mixed
 with plain ints, into this residue form and drops those that are 0 mod
 p.  Two operators of the same prime are added, compared, scaled and
-multiplied on the ints, each sum reduced mod p once, which is the same
-sum in Z/p as reducing after every step.  Scalar reads (entry,
-as_scalar, trace_full, scalar_entries) and the dividing routines see
-ModInts; a residue operator against any other operator is taken
-through the generic loop on those ModInts, so mixed moduli still raise.
+multiplied on the ints.  Scalar reads (entry, as_scalar, trace_full,
+scalar_entries) and the dividing routines see ModInts; a residue
+operator against any other operator is taken through its ModInts, so
+mixed moduli still raise.
+
+Every sparse sum that starts from an empty map (product, partial trace,
+negation) is one loop for every entry type: each term is added to the
+raw sum as it comes, and each finished entry is settled once by
+_settled, reduced mod p over GF(p) and dropped when zero.  Reducing a
+sum once is the same sum in Z/p as reducing after every step.
 
 A column u over V^(arity) is an operator whose entries all sit in column
 0, and a row v one whose entries all sit in row 0.  So O @ u, v @ O, the
@@ -69,6 +74,14 @@ def _residue_form(entries):
         return None, entries
     return prime, {k: r for k, v in entries.items()
                    if (r := (v if type(v) is int else v.value) % prime)}
+
+
+def _settled(prime, acc):
+    """The finished sums in acc, each settled once: reduced mod prime when
+    prime is set, then dropped when zero."""
+    if prime is None:
+        return {k: s for k, s in acc.items() if s}
+    return {k: r for k, s in acc.items() if (r := s % prime)}
 
 
 def encode(index, dim):
@@ -208,11 +221,9 @@ class TensorOperator:
 
     def __neg__(self):
         p = self.prime
-        if p is None:
-            return TensorOperator(self.dim, self.arity,
-                                  {k: -v for k, v in self.entries.items()})
-        return TensorOperator._over(p, self.dim, self.arity,
-                                    {k: p - v for k, v in self.entries.items()})
+        return TensorOperator._over(
+            p, self.dim, self.arity,
+            _settled(p, {k: -v for k, v in self.entries.items()}))
 
     def scaled(self, c):
         p = self.prime
@@ -237,47 +248,20 @@ class TensorOperator:
             return NotImplemented
         self._check_same_shape(other)
         a, b, p = self._operands(other)
-        if p is not None:
-            return self._matmul_mod(other, p)
         rows = {}
         for (r, c), v in b.items():
             rows.setdefault(r, []).append((c, v))
         acc = {}
+        get = acc.get
         for (i, k), x in a.items():
             hits = rows.get(k)
             if not hits:
                 continue
             for j, y in hits:
                 key = (i, j)
-                s = acc.get(key)
-                if s is None:
-                    s = x * y
-                else:
-                    s = s + x * y
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return TensorOperator(self.dim, self.arity, acc)
-
-    def _matmul_mod(self, other, prime):
-        """self @ other over GF(prime), on the residues: each output entry
-        sums its products as an int and is reduced once."""
-        rows = {}
-        for (r, c), v in other.entries.items():
-            rows.setdefault(r, []).append((c, v))
-        acc = {}
-        get = acc.get
-        for (i, k), a in self.entries.items():
-            hits = rows.get(k)
-            if not hits:
-                continue
-            for j, b in hits:
-                key = (i, j)
-                acc[key] = get(key, 0) + a * b
-        return TensorOperator._over(
-            prime, self.dim, self.arity,
-            {key: r for key, s in acc.items() if (r := s % prime)})
+                s = get(key)
+                acc[key] = x * y if s is None else s + x * y
+        return TensorOperator._over(p, self.dim, self.arity, _settled(p, acc))
 
     # -- tensor-structure operations --------------------------------------
 
@@ -333,17 +317,8 @@ class TensorOperator:
             key = (encode(tuple(rd[s - 1] for s in keep), d),
                    encode(tuple(cd[s - 1] for s in keep), d))
             s0 = acc.get(key)
-            if s0 is None:
-                acc[key] = v
-                continue
-            s0 = s0 + v
-            if p:
-                s0 %= p
-            if s0:
-                acc[key] = s0
-            else:
-                del acc[key]
-        return TensorOperator._over(p, d, len(keep), acc)
+            acc[key] = v if s0 is None else s0 + v
+        return TensorOperator._over(p, d, len(keep), _settled(p, acc))
 
     # -- field-entry operations -------------------------------------------
 

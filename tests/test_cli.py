@@ -292,6 +292,33 @@ def test_std3_at_a_small_prime_passes_every_check(command):
     assert all(c.status == "verified-at-5-points" for c in report.checks)
 
 
+# psi_12 passes Miller-Rabin to the bases 2..37 but is composite; psi_13
+# passes to 2..41 too, so moduli from it up are refused by size, and one
+# too long for int() to read is refused as well
+UNDECIDED_MODULI = [
+    pytest.param("318665857834031151167461", "odd prime", id="psi12"),
+    pytest.param("3317044064679887385961981",
+                 "below 3317044064679887385961981", id="psi13"),
+    pytest.param("1" * 5000, "digits", id="5000-digits"),
+]
+
+
+@pytest.mark.parametrize("modulus, reason", UNDECIDED_MODULI)
+def test_undecided_modulus_is_config_error(modulus, reason, capsys):
+    assert main(["validate", "--builtin", "std:2",
+                 "--field", "modular:" + modulus]) == 2
+    err = capsys.readouterr().err
+    assert "bad modulus " + modulus in err
+    assert reason in err
+    assert "Traceback" not in err
+
+
+def test_61_bit_mersenne_modulus_runs(capsys):
+    assert main(["validate", "--builtin", "std:2",
+                 "--field", "modular:%d" % (2 ** 61 - 1)]) == 0
+    assert "verified-at-5-points" in capsys.readouterr().out
+
+
 def test_smallest_modulus_above_the_order_floor_runs(capsys):
     assert main(["validate", "--builtin", "std:2", "--field", "modular:23"]) == 0
     assert "verified-at-5-points" in capsys.readouterr().out
@@ -317,6 +344,24 @@ def test_file_source_perturbed_entry_fails(tmp_path):
     assert by_name["yang_baxter"]["status"] == "failed"
     assert "residual" in by_name["yang_baxter"]["witness"]
     assert by_name["hecke_quadratic"]["status"] == "skipped"
+
+
+def test_merged_status_counts_the_points_that_evaluated_a_check(tmp_path):
+    # R_21^21 = (q - 3)(3q - 1) vanishes at q = 3 and 1/3 only, so the
+    # braid relation holds at 2 of the 5 sampled points, and the newton
+    # checks run at those 2 alone
+    doc = json.loads(json.dumps(GOOD_FILE))
+    doc["entries"].append({"in": [2, 1], "out": [2, 1],
+                           "value": "(q - 3)*(3*q - 1)"})
+    path = write_file(tmp_path, doc)
+    code, rep = run_json(tmp_path, ["newton", "--input", path,
+                                    "--field", "sampled:5"])
+    assert code == 1
+    assert {"3", "1/3"} <= set(rep["field"]["points"])
+    by_name = {c["name"]: c["status"] for c in rep["checks"]}
+    assert by_name["yang_baxter"] == "failed"
+    assert by_name["newton_defect_1"] == "verified-at-2-points"
+    assert by_name["newton_defect_2"] == "verified-at-2-points"
 
 
 def test_file_with_pinned_q(tmp_path):

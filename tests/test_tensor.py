@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from heckelab.hecke import builtin_standard
 from heckelab.ncalgebra import NCPoly
-from heckelab.qscalar import DEFAULT_PRIME, ModInt, Q_VAR
+from heckelab.qscalar import DEFAULT_PRIME, FieldSpec, ModInt, Q_VAR, make_field
 from heckelab.tensor import (
     NotIdempotentError,
     NotInvertibleError,
@@ -375,20 +376,6 @@ def test_contract_keep_helpers():
 
 # --- products over GF(p) on plain residues ------------------------------------
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Records the prime of every product that takes the residue kernel."""
-    calls = []
-    kernel = TensorOperator._matmul_mod
-
-    def spy(self, other, prime):
-        calls.append(prime)
-        return kernel(self, other, prime)
-
-    monkeypatch.setattr(TensorOperator, "_matmul_mod", spy)
-    return calls
-
-
 def dict_product(x, y, size, zero):
     """The product of two entry maps as a dense product, each sum started
     from zero (ModInt(0, p), Fraction(0) or 0), zeros dropped."""
@@ -442,14 +429,13 @@ def test_residue_product_matches_modint_reference(case):
     (DEFAULT_PRIME, ModInt(2, DEFAULT_PRIME), -1,
      ModInt((DEFAULT_PRIME + 1) // 2, DEFAULT_PRIME), 1),
 ])
-def test_residue_product_cancelling_mod_p_is_zero(p, a0, a1, b0, b1,
-                                                  kernel_calls):
+def test_residue_product_cancelling_mod_p_is_zero(p, a0, a1, b0, b1):
     # row (a0, a1) against column (b0, b1): 3*4 + 2*1 = 14 = 0 mod 7,
     # and 2*(p+1)/2 - 1 = p at the large prime, with plain ints mixed in
     a = TensorOperator(2, 1, {(0, 0): a0, (0, 1): a1})
     b = TensorOperator(2, 1, {(0, 0): b0, (1, 0): b1})
-    assert (a @ b).is_zero()
-    assert kernel_calls == [p]
+    got = a @ b
+    assert got.is_zero() and got.prime == p
 
 
 def test_mixed_moduli_still_fail():
@@ -469,12 +455,34 @@ def test_mixed_moduli_still_fail():
     (NCPoly.const(1), NCPoly.generator(1, 2)),
     (ModInt(1, 7), Fraction(2, 3)),
 ], ids=["Fraction", "QScalar", "NCPoly", "ModInt-with-Fraction"])
-def test_other_entries_take_the_generic_loop(one, q, kernel_calls):
+def test_other_entries_take_the_generic_loop(one, q):
     a = TensorOperator(2, 1, {(0, 0): one, (0, 1): q, (1, 1): one})
     b = TensorOperator(2, 1, {(0, 1): q, (1, 0): one})
     got = a @ b
     assert got.entries == {(0, 0): q * one, (0, 1): one * q, (1, 0): one * one}
-    assert kernel_calls == []
+
+
+@pytest.mark.parametrize("one, q", [
+    (ModInt(1, 7), ModInt(3, 7)),
+    (Fraction(1), Fraction(2, 3)),
+    (Q_VAR ** 0, Q_VAR),
+    (NCPoly.const(1), NCPoly.generator(1, 2)),
+], ids=["residue", "Fraction", "QScalar", "NCPoly"])
+def test_sums_cancelling_after_several_terms_leave_no_entry(one, q):
+    # row 0 sums q + q - 2q: its partial sums are q, 2q, 0; row 1 sums
+    # q - q + q, zero halfway and q at the end
+    a = TensorOperator(3, 1, {(0, 0): q, (0, 1): q, (0, 2): -2 * q,
+                              (1, 0): q, (1, 1): -q, (1, 2): q})
+    b = TensorOperator(3, 1, {(k, 0): one for k in range(3)})
+    got = a @ b
+    assert got.entries == TensorOperator(3, 1, {(1, 0): q}).entries
+    # the same two sums as a partial trace over slot 2
+    t = TensorOperator.from_multi(3, 2, {
+        ((1, 1), (1, 1)): q, ((1, 2), (1, 2)): q, ((1, 3), (1, 3)): -2 * q,
+        ((2, 1), (1, 1)): q, ((2, 2), (1, 2)): -q, ((2, 3), (1, 3)): q})
+    traced = t.trace_slots([2])
+    assert traced.entries == got.entries
+    assert traced.prime == got.prime == (7 if type(q) is ModInt else None)
 
 
 # --- columns and rows against a dense reference ----------------------------------
@@ -712,8 +720,7 @@ def test_residue_rank1_factor_matches_modint_reference(case):
     {(0, 0): Fraction(2, 3), (1, 0): Fraction(-5), (1, 1): Fraction(1, 4)},
     {(0, 0): NCPoly.generator(1, 2), (1, 1): NCPoly.const(3)},
 ], ids=["Fraction", "NCPoly"])
-def test_residue_against_other_entries_takes_the_generic_loop(other,
-                                                              kernel_calls):
+def test_residue_against_other_entries_takes_the_generic_loop(other):
     p = 7
     raw = {(0, 0): ModInt(3, p), (0, 1): ModInt(6, p), (1, 1): 9}
     a, o = TensorOperator(2, 1, raw), TensorOperator(2, 1, other)
@@ -722,13 +729,14 @@ def test_residue_against_other_entries_takes_the_generic_loop(other,
                                                     2, zero)
     assert (o @ a).scalar_entries() == dict_product(other, as_modints(raw, p),
                                                     2, zero)
-    assert kernel_calls == []
 
 
 def test_residue_add_product_and_compare_build_no_modint(monkeypatch):
     a = TensorOperator(2, 2, {(i, j): ModInt(3 * i + j + 1, 7)
                               for i in range(4) for j in range(4)})
     b = a.scaled(ModInt(3, 7)) + TensorOperator.identity(2, 2, ModInt(1, 7))
+    h = builtin_standard(2, make_field(FieldSpec.modular(DEFAULT_PRIME, 5)))
+    h.rt1_inverse()  # inverting divides, so it reads ModInts
     built = []
     init = ModInt.__init__
 
@@ -738,8 +746,19 @@ def test_residue_add_product_and_compare_build_no_modint(monkeypatch):
 
     monkeypatch.setattr(ModInt, "__init__", spy)
     prod, total, same = a @ b, a + b, a == b
+    rest = [-a, a - b, prod.trace_slots([1]), prod.trace_slots([1, 2])]
+    weights = [h.matrix_c(), h.matrix_b()]
     assert built == []
     monkeypatch.undo()
-    assert not same and prod.prime == total.prime == 7
+    assert not same
+    for op in [prod, total] + rest:
+        assert op.prime == 7
+        assert all(type(v) is int and 0 < v < 7 for v in op.entries.values())
+    for op in weights:
+        assert op.prime == DEFAULT_PRIME
+        assert all(type(v) is int and 0 < v < DEFAULT_PRIME
+                   for v in op.entries.values())
     assert prod.scalar_entries() == dict_product(
         a.scalar_entries(), b.scalar_entries(), 4, ModInt(0, 7))
+    assert -a + a == TensorOperator.zero(2, 2)
+    assert prod.trace_slots([1, 2]).as_scalar() == prod.trace_full()
